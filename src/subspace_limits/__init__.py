@@ -71,13 +71,12 @@ from .linalg import (
     gram_matrix,
     gramian,
     inner,
-    jacobi_eigenvalues,
     n_norm,
     orthonormalize,
     project,
     projection_norm_sq,
 )
-from .oracle import SamplingPlan, det_bruteforce, gap_bruteforce
+from .oracle import SamplingPlan, det_bruteforce, gap_bruteforce, jacobi_eigenvalues
 
 __version__ = "0.1.0"
 

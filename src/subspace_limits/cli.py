@@ -13,9 +13,9 @@ Four subcommands:
 * ``example`` lists the built-in sequences or emits a ready-made config.
 
 Reports are JSON, traces are CSV with a fixed header, and both are byte
-stable: re-running the same config reproduces identical files. The
-optional SUBSPACE_LIMITS_THREADS environment variable caps the engine's
-index-evaluation parallelism; results do not depend on it.
+stable: re-running the same config reproduces identical files. Each
+subcommand evaluates the sequence once and feeds every check from that
+one trace pass.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .convergence import (
     SubspaceSequence,
     Verdict,
     VolumeCheckReport,
+    _validate_eps_grid,
     constant_orthogonal_example,
     criterion_traces,
     equivalence_suite,
@@ -273,16 +274,12 @@ class ExperimentConfig:
         if not isinstance(self.horizon, int) or self.horizon < 16:
             raise ConfigError("horizon", "must be an integer >= 16")
         grid = self.eps_grid
-        if (
-            not isinstance(grid, list)
-            or not grid
-            or not all(isinstance(e, (int, float)) for e in grid)
-        ):
-            raise ConfigError("eps_grid", "must be a non-empty list of numbers")
-        if any(e <= 0 for e in grid):
-            raise ConfigError("eps_grid", "values must be strictly positive")
-        if any(a <= b for a, b in zip(grid, grid[1:])):
-            raise ConfigError("eps_grid", "values must be strictly decreasing")
+        if not isinstance(grid, list) or not all(isinstance(e, (int, float)) for e in grid):
+            raise ConfigError("eps_grid", "must be a list of numbers")
+        try:
+            _validate_eps_grid(grid)
+        except ValueError as exc:
+            raise ConfigError("eps_grid", str(exc)) from None
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError("out_dir", "must be a non-empty string")
 
@@ -369,20 +366,16 @@ def _fmt(x: float) -> str:
 
 def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
     """Per-index worst-case trace of all criteria, byte stable across runs."""
-    lines = [TRACE_HEADER]
-    for i in range(traces.horizon):
-        lines.append(
-            ",".join(
-                (
-                    str(i + 1),
-                    _fmt(traces.gap[i]),
-                    _fmt(traces.residual[i].max()),
-                    _fmt(traces.coefficient_mass[i].min()),
-                    _fmt(traces.projection_norm[i].min()),
-                    _fmt(traces.joint_volume[i].max()),
-                )
-            )
-        )
+    columns = np.column_stack([
+        traces.gap,
+        traces.residual.max(axis=1),
+        traces.coefficient_mass.min(axis=1),
+        traces.projection_norm.min(axis=1),
+        traces.joint_volume.max(axis=1),
+    ])
+    lines = [TRACE_HEADER] + [
+        ",".join([str(n), *map(_fmt, row)]) for n, row in enumerate(columns.tolist(), 1)
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -541,7 +534,7 @@ def _prepare(args):
 
 def cmd_analyze(args) -> int:
     cfg, seq, V, ideal, out_dir, traces = _prepare(args)
-    report = subspace_i_converges(seq, V, ideal, cfg.eps_grid, cfg.horizon)
+    report = subspace_i_converges(seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces)
     doc = report_to_dict(report, "analyze")
     write_report(out_dir / "report.json", doc)
     write_trace_csv(out_dir / "trace.csv", traces)

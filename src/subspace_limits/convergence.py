@@ -17,15 +17,14 @@ equivalent to it and are evaluated side by side by
 * each joint volume ||u_i, v_1, ..., v_k|| tends to 0.
 
 All evaluation is deterministic; identical inputs produce identical
-reports regardless of thread count.
+reports. Each index is evaluated once per trace pass, in fixed-size
+chunks whose bases go through batched kernels.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +45,10 @@ from .ideals import (
 from .linalg import Subspace
 
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
+
+# Indices per batched kernel call. Larger chunks raised peak memory on a
+# k=8, d=40 family without making the pass faster.
+TRACE_CHUNK = 16
 
 CRITERION_NAMES = (
     "gap",
@@ -86,7 +89,9 @@ class SubspaceSequence:
     description: str = ""
 
     def __post_init__(self):
-        probe = self.rule(1)
+        probe = _call_rule(self.rule, 1)
+        if not isinstance(probe, Subspace):
+            raise ValueError(f"rule(1) returned {probe!r}, expected a Subspace")
         if probe.ambient_dim != self.ambient_dim or probe.k != self.k:
             raise ValueError(
                 f"rule(1) returned k={probe.k} in dimension {probe.ambient_dim}, "
@@ -117,18 +122,15 @@ class ExceptionalSetTrace:
         object.__setattr__(self, "values", v)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SUBSPACE_LIMITS_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+def _call_rule(rule, n: int):
+    try:
+        return rule(n)
+    except Exception as exc:
+        raise RuleEvaluationError(n, str(exc)) from exc
 
 
 def _eval_rule(seq: SubspaceSequence, n: int) -> Subspace:
-    try:
-        U = seq.rule(n)
-    except Exception as exc:
-        raise RuleEvaluationError(n, str(exc)) from exc
+    U = _call_rule(seq.rule, n)
     if not isinstance(U, Subspace) or U.k != seq.k or U.ambient_dim != seq.ambient_dim:
         raise RuleEvaluationError(
             n, f"rule returned {U!r}, expected k={seq.k}, d={seq.ambient_dim}"
@@ -136,26 +138,9 @@ def _eval_rule(seq: SubspaceSequence, n: int) -> Subspace:
     return U
 
 
-def _map_indices(fn, horizon: int, threads: Optional[int]) -> list:
-    """Apply fn to 1..horizon, in parallel if asked, reducing in index order."""
-    count = _thread_count(threads)
-    ns = range(1, horizon + 1)
-    if count == 1 or horizon < 64:
-        return [fn(n) for n in ns]
-    chunks = np.array_split(np.asarray(ns), count * 4)
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        parts = pool.map(lambda chunk: [fn(int(n)) for n in chunk], chunks)
-        return [row for part in parts for row in part]
-
-
-def gap_trace(
-    seq: SubspaceSequence, V: Subspace, horizon: int, threads: Optional[int] = None
-) -> list[tuple[int, float]]:
+def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[int, float]]:
     """The per-index gap to V: [(n, gap(U_n, V)) for n = 1..horizon]."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    vals = _map_indices(lambda n: linalg.gap(_eval_rule(seq, n), V), horizon, threads)
-    return list(zip(range(1, horizon + 1), vals))
+    return list(zip(range(1, horizon + 1), criterion_traces(seq, V, horizon).gap.tolist()))
 
 
 def exceptional_set(trace: Sequence[tuple[int, float]], epsilon: float) -> ExceptionalSetTrace:
@@ -258,6 +243,8 @@ def _validate_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
         raise ValueError("eps grid must be non-empty")
     if any(e <= 0 for e in grid):
         raise ValueError(f"eps grid must be strictly positive, got {grid}")
+    if any(a <= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"eps grid must be strictly decreasing, got {grid}")
     return grid
 
 
@@ -297,14 +284,9 @@ def scalar_i_limit(
     grid = _validate_eps_grid(eps_grid)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-    def eval_one(n: int) -> float:
-        try:
-            return float(x.rule(n))
-        except Exception as exc:
-            raise RuleEvaluationError(n, str(exc)) from exc
-
-    values = np.asarray([eval_one(n) for n in range(1, horizon + 1)], dtype=float)
+    values = np.asarray(
+        [_call_rule(lambda n: float(x.rule(n)), n) for n in range(1, horizon + 1)]
+    )
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
         raise RuleEvaluationError(bad, "rule produced a non-finite value")
@@ -333,10 +315,8 @@ class CriterionTraces:
     self_volume: np.ndarray       # (horizon, k): ||u_i, P_V(u_i)||
 
 
-def criterion_traces(
-    seq: SubspaceSequence, V: Subspace, horizon: int, threads: Optional[int] = None
-) -> CriterionTraces:
-    """Evaluate every criterion's raw values for n = 1..horizon."""
+def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> CriterionTraces:
+    """Evaluate every criterion's raw values for n = 1..horizon in one pass."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if V.ambient_dim != seq.ambient_dim or V.k != seq.k:
@@ -344,33 +324,30 @@ def criterion_traces(
             f"candidate limit has k={V.k}, d={V.ambient_dim}; "
             f"sequence declares k={seq.k}, d={seq.ambient_dim}"
         )
+    k, d = seq.k, seq.ambient_dim
     B = V.basis
-
-    def eval_one(n: int):
-        U = _eval_rule(seq, n)
-        A = U.basis
-        coeff = A @ B.T
-        resid = A - coeff @ B
-        g = linalg.gap(U, V)
-        r = np.linalg.norm(resid, axis=1)
-        mass = np.einsum("ij,ij->i", coeff, coeff)
-        proj = np.linalg.norm(coeff @ B, axis=1)
-        vol = np.array([linalg.n_norm(np.vstack([A[i], B])) for i in range(U.k)])
-        self_vol = np.array(
-            [linalg.n_norm(np.vstack([A[i], coeff[i] @ B])) for i in range(U.k)]
-        )
-        return g, r, mass, proj, vol, self_vol
-
-    rows = _map_indices(eval_one, horizon, threads)
+    gap = np.empty(horizon)
+    residual, coefficient_mass, projection_norm, joint_volume, self_volume = (
+        np.empty((horizon, k)) for _ in range(5)
+    )
+    buf = np.empty((TRACE_CHUNK, k, d))
+    for lo in range(0, horizon, TRACE_CHUNK):
+        A = buf[: min(TRACE_CHUNK, horizon - lo)]
+        for j in range(A.shape[0]):
+            A[j] = _eval_rule(seq, lo + j + 1).basis
+        rows = slice(lo, lo + A.shape[0])
+        C, R = linalg.cross_residual(A, B)
+        P = C @ B
+        gap[rows] = linalg.residual_gap(R)
+        residual[rows] = np.linalg.norm(R, axis=-1)
+        coefficient_mass[rows] = np.einsum("nij,nij->ni", C, C)
+        projection_norm[rows] = np.linalg.norm(P, axis=-1)
+        # family i of index n: (u_i, v_1, ..., v_k) and (u_i, P_V(u_i))
+        with_limit = np.broadcast_to(B, (A.shape[0], k, k, d))
+        joint_volume[rows] = linalg.volumes(np.concatenate([A[:, :, None], with_limit], axis=2))
+        self_volume[rows] = linalg.volumes(np.stack([A, P], axis=2))
     return CriterionTraces(
-        horizon=horizon,
-        k=seq.k,
-        gap=np.array([row[0] for row in rows]),
-        residual=np.array([row[1] for row in rows]),
-        coefficient_mass=np.array([row[2] for row in rows]),
-        projection_norm=np.array([row[3] for row in rows]),
-        joint_volume=np.array([row[4] for row in rows]),
-        self_volume=np.array([row[5] for row in rows]),
+        horizon, k, gap, residual, coefficient_mass, projection_norm, joint_volume, self_volume
     )
 
 
@@ -403,17 +380,35 @@ def _vector_criterion(
     return CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]))
 
 
+def _traces_for(
+    seq: SubspaceSequence, V: Subspace, horizon: int, traces: Optional[CriterionTraces]
+) -> CriterionTraces:
+    """The given traces after checking they fit, or a fresh trace pass."""
+    if traces is None:
+        return criterion_traces(seq, V, horizon)
+    if traces.horizon != horizon or traces.k != seq.k:
+        raise ValueError(
+            f"precomputed traces cover horizon {traces.horizon} with k={traces.k}; "
+            f"expected horizon {horizon} with k={seq.k}"
+        )
+    return traces
+
+
 def subspace_i_converges(
     seq: SubspaceSequence,
     V: Subspace,
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = 1000,
-    threads: Optional[int] = None,
+    traces: Optional[CriterionTraces] = None,
 ) -> ConvergenceReport:
-    """Decide convergence of the sequence to V under the ideal (gap criterion)."""
+    """Decide convergence of the sequence to V under the ideal (gap criterion).
+
+    Pass precomputed ``traces`` to reuse their gap column instead of
+    evaluating the sequence again.
+    """
     grid = _validate_eps_grid(eps_grid)
-    values = np.asarray([g for _, g in gap_trace(seq, V, horizon, threads)])
+    values = _traces_for(seq, V, horizon, traces).gap
     crit = _gap_criterion(values, ideal, grid, seq.exceptional_certificate)
     evidence = {
         "sequence": seq.description,
@@ -428,10 +423,9 @@ def usual_converges(
     V: Subspace,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = 1000,
-    threads: Optional[int] = None,
 ) -> ConvergenceReport:
     """Plain convergence: the finite ideal's notion."""
-    return subspace_i_converges(seq, V, Ideal.finite(), eps_grid, horizon, threads)
+    return subspace_i_converges(seq, V, Ideal.finite(), eps_grid, horizon)
 
 
 def statistical_converges(
@@ -439,10 +433,9 @@ def statistical_converges(
     V: Subspace,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = 1000,
-    threads: Optional[int] = None,
 ) -> ConvergenceReport:
     """Statistical convergence: the zero-density ideal's notion."""
-    return subspace_i_converges(seq, V, Ideal.density(), eps_grid, horizon, threads)
+    return subspace_i_converges(seq, V, Ideal.density(), eps_grid, horizon)
 
 
 def equivalence_suite(
@@ -451,7 +444,6 @@ def equivalence_suite(
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = 1000,
-    threads: Optional[int] = None,
     traces: Optional[CriterionTraces] = None,
 ) -> ConvergenceReport:
     """Evaluate all five equivalent convergence criteria side by side.
@@ -460,10 +452,7 @@ def equivalence_suite(
     precomputed ``traces`` to amortize evaluation across several ideals.
     """
     grid = _validate_eps_grid(eps_grid)
-    if traces is None:
-        traces = criterion_traces(seq, V, horizon, threads)
-    elif traces.horizon != horizon or traces.k != seq.k:
-        raise ValueError("precomputed traces do not match the sequence and horizon")
+    traces = _traces_for(seq, V, horizon, traces)
     # Each basis vector of U_n is a unit vector of U_n, so its residual is
     # at most the gap, and the other per-vector deviations are at most the
     # residual; a certificate for the gap's exceptional sets therefore
@@ -511,13 +500,11 @@ def self_projection_volume_check(
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = 1000,
-    threads: Optional[int] = None,
     traces: Optional[CriterionTraces] = None,
 ) -> VolumeCheckReport:
     """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0."""
     grid = _validate_eps_grid(eps_grid)
-    if traces is None:
-        traces = criterion_traces(seq, V, horizon, threads)
+    traces = _traces_for(seq, V, horizon, traces)
     cert = seq.exceptional_certificate
     volume = _vector_criterion(
         "self_projection_volume", traces.self_volume, 0.0, ideal, grid, cert

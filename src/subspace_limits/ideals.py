@@ -46,6 +46,16 @@ def block_index(n: int) -> int:
     return (n & -n).bit_length()
 
 
+def block_indices(members: np.ndarray) -> np.ndarray:
+    """:func:`block_index` of every entry of an integer array of naturals.
+
+    n & -n isolates the largest power of two dividing n, 2^(j-1); as a
+    float it is exact, and frexp returns its binary exponent j.
+    """
+    m = np.asarray(members, dtype=np.int64)
+    return np.frexp((m & -m).astype(float))[1]
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """A finite-horizon enumeration of a subset of N.
@@ -61,7 +71,9 @@ class IndexSet:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        m = np.unique(np.asarray(self.members, dtype=np.int64)).reshape(-1)
+        m = np.array(self.members, dtype=np.int64).reshape(-1)
+        if np.any(m[1:] <= m[:-1]):  # thresholded traces arrive sorted already
+            m = np.unique(m)
         if m.size and (m[0] < 1 or m[-1] > self.horizon):
             raise ValueError(
                 f"members must lie in [1, {self.horizon}], got range "
@@ -149,14 +161,14 @@ class SubsetOfUnion:
 TailCertificate = Union[EmptyTail, SubsetOfBlocks, SubsetOfUnion]
 
 
-def certificate_covers(cert: TailCertificate, n: int) -> bool:
-    """Whether n lies in the superset the certificate describes."""
+def certificate_covers(cert: TailCertificate, members: np.ndarray) -> np.ndarray:
+    """Mask of the members that lie in the superset the certificate describes."""
     if isinstance(cert, EmptyTail):
-        return n <= cert.bound
+        return members <= cert.bound
     if isinstance(cert, SubsetOfBlocks):
-        return block_index(n) in cert.blocks
+        return np.isin(block_indices(members), cert.blocks)
     if isinstance(cert, SubsetOfUnion):
-        return any(certificate_covers(p, n) for p in cert.parts)
+        return np.logical_or.reduce([certificate_covers(p, members) for p in cert.parts])
     raise TypeError(f"not a tail certificate: {cert!r}")
 
 
@@ -198,12 +210,12 @@ def certificate_describe(cert: TailCertificate) -> str:
 
 def validate_certificate(cert: TailCertificate, index_set: IndexSet) -> None:
     """Raise :class:`CertificateError` if any enumerated member escapes it."""
-    for m in index_set.members:
-        if not certificate_covers(cert, int(m)):
-            raise CertificateError(
-                f"member {int(m)} is outside the certified superset "
-                f"({certificate_describe(cert)})"
-            )
+    escaped = index_set.members[~certificate_covers(cert, index_set.members)]
+    if escaped.size:
+        raise CertificateError(
+            f"member {int(escaped[0])} is outside the certified superset "
+            f"({certificate_describe(cert)})"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -343,14 +355,8 @@ def _members_in_every_window(P: IndexSet) -> bool:
 
 def _block_first_occurrences(P: IndexSet) -> list[int]:
     """Member values at which a previously unseen block index appears."""
-    seen: set[int] = set()
-    events = []
-    for m in P.members:
-        j = block_index(int(m))
-        if j not in seen:
-            seen.add(j)
-            events.append(int(m))
-    return events
+    _, first = np.unique(block_indices(P.members), return_index=True)
+    return P.members[np.sort(first)].tolist()
 
 
 def decide_membership(

@@ -3,14 +3,13 @@
 Everything here works on plain float vectors and on `Subspace` objects,
 which store an orthonormal basis as rows of a read-only array. The module
 provides inner products, orthonormalization, orthogonal projection,
-point-to-subspace distance, the gap metric between equal-dimensional
-subspaces, Gram determinants and the joint norm (volume) of a vector
-family. All functions are pure and safe to share across threads.
+point-to-subspace distance, the gap metric (from an SVD) and the joint
+norm (a QR volume) of a vector family; the gap and volume kernels also
+take stacks of bases. All functions are pure and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,6 @@ import numpy as np
 TOL_ORTHO = 1e-10      # max |B B^T - I| entry allowed in an orthonormal basis
 RANK_TOL = 1e-8        # elimination residual below which a vector is dependent
 SUBSPACE_EQ_TOL = 1e-8  # gap threshold under which two subspaces count as equal
-
-JACOBI_OFFDIAG_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 50
 
 
 class DimensionMismatchError(ValueError):
@@ -168,63 +164,45 @@ def projection_norm_sq(u, V: Subspace) -> float:
     return float(c @ c)
 
 
-def jacobi_eigenvalues(
-    matrix,
-    offdiag_tol: float = JACOBI_OFFDIAG_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+def cross_residual(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-Gram C = A B^T and residual R = A - C B of stacked bases A (..., k, d).
 
-    Returns the eigenvalues sorted ascending. Sweeps stop once every
-    off-diagonal entry is at most ``offdiag_tol`` in absolute value.
-    Intended for the k x k matrices arising in gap computations (k <= 10).
+    Row i of R is u_i - P_V(u_i) for the orthonormal basis B of V. R is
+    formed from A itself, which keeps small residuals accurate.
     """
-    A = np.array(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
-        raise ValueError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-    if n == 1:
-        return A[0].copy()
-    for _ in range(max_sweeps):
-        off = np.abs(A - np.diag(np.diag(A))).max()
-        if off <= offdiag_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= offdiag_tol:
-                    continue
-                # classical symmetric Schur rotation annihilating A[p, q]
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-    return np.sort(np.diag(A))
+    C = A @ B.T
+    return C, A - C @ B
+
+
+def residual_gap(R: np.ndarray) -> np.ndarray:
+    """The gap for each stacked residual R: its largest singular value, at most 1.
+
+    Accurate relative to the gap's own size, down to the round-off in R.
+    """
+    return np.minimum(1.0, np.linalg.svd(R, compute_uv=False)[..., 0])
+
+
+def volumes(M: np.ndarray) -> np.ndarray:
+    """Joint norm of each stacked vector family M (..., r, d), rows as vectors.
+
+    The r-volume of the parallelotope the rows span is |prod diag R| of the
+    QR factorization of the d x r matrix whose columns are the rows; it
+    vanishes when the rows are dependent, in particular when r > d.
+    """
+    r, d = M.shape[-2:]
+    if r > d:
+        return np.zeros(M.shape[:-2])
+    R = np.linalg.qr(np.swapaxes(M, -1, -2), mode="r")
+    return np.abs(np.prod(np.diagonal(R, axis1=-2, axis2=-1), axis=-1))
 
 
 def gap(U: Subspace, V: Subspace) -> float:
     """Gap between two equal-dimensional subspaces.
 
     Defined as the supremum of ||u - P_V(u)|| over unit vectors u in U.
-    For orthonormal row bases A (for U) and B (for V) this supremum equals
-    sqrt(1 - lambda_min(G G^T)) with the cross-Gram G = A B^T. The value is
-    computed from the residual matrix R = A - (A B^T) B, whose Gram
-    R R^T equals I - G G^T exactly; taking lambda_max(R R^T) evaluates the
-    same closed form but keeps near-zero gaps resolvable at the 1e-15
-    level instead of the ~1e-8 floor of forming 1 - lambda_min directly.
-    The radicand is clamped to [0, 1], so the result is always in [0, 1].
+    For orthonormal row bases A (for U) and B (for V) this supremum is the
+    largest singular value of the residual R = A - (A B^T) B; see
+    :func:`residual_gap`. The result is always in [0, 1].
     """
     if U.ambient_dim != V.ambient_dim:
         raise DimensionMismatchError(
@@ -234,11 +212,7 @@ def gap(U: Subspace, V: Subspace) -> float:
         raise DimensionMismatchError(
             f"gap is defined for equal-dimensional subspaces only, got k={U.k} and k={V.k}"
         )
-    A = U.basis
-    B = V.basis
-    R = A - (A @ B.T) @ B
-    lam_max = float(jacobi_eigenvalues(R @ R.T)[-1])
-    return math.sqrt(min(1.0, max(0.0, lam_max)))
+    return float(residual_gap(cross_residual(U.basis, V.basis)[1]))
 
 
 def gram_matrix(vectors) -> np.ndarray:
@@ -248,19 +222,18 @@ def gram_matrix(vectors) -> np.ndarray:
 
 
 def gramian(vectors) -> float:
-    """Determinant of the Gram matrix of the given vectors.
+    """Determinant of the Gram matrix of the given vectors: the squared joint norm.
 
-    Nonnegative up to round-off; vanishes exactly when the vectors are
-    linearly dependent.
+    Nonnegative; vanishes exactly when the vectors are linearly dependent.
     """
-    return float(np.linalg.det(gram_matrix(vectors)))
+    return n_norm(vectors) ** 2
 
 
 def n_norm(vectors) -> float:
     """Joint norm of a vector family: sqrt of the Gram determinant.
 
     Measures the volume of the parallelotope the vectors span; zero when
-    they are dependent. The Gramian is clamped at zero before the root to
-    absorb round-off.
+    they are dependent. Computed by :func:`volumes`, which stays accurate
+    for volumes far below the ~1e-8 floor of rooting a Gram determinant.
     """
-    return math.sqrt(max(0.0, gramian(vectors)))
+    return float(volumes(_as_vector_family(vectors)))

@@ -1,11 +1,12 @@
 """Brute-force reference implementations.
 
-These are deliberately independent of the closed-form kernels in
+These are deliberately independent of the SVD and QR kernels in
 :mod:`subspace_limits.linalg`: the gap is maximized by sampling the unit
 sphere of coefficient space and evaluating the defining residual norm
-directly, and determinants are expanded over permutations. They exist to
-cross-check the production code and to pin down expected values in tests,
-so they favor transparency over speed and use no randomness at all.
+directly, determinants are expanded over permutations, and symmetric
+eigenvalues come from cyclic Jacobi rotations. They exist to cross-check
+the production code and to pin down expected values in tests, so they
+favor transparency over speed and use no randomness at all.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import numpy as np
 from .linalg import DimensionMismatchError, Subspace
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+JACOBI_REL_TOL = 1e-15  # off-diagonal entries below this times ||A||_F count as zero
+JACOBI_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -159,3 +163,40 @@ def det_bruteforce(matrix) -> float:
             term *= M[i, j]
         total += term
     return float(total)
+
+
+def jacobi_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+
+    Returns the eigenvalues sorted ascending. Sweeps stop once every
+    off-diagonal entry is at most ``JACOBI_REL_TOL`` times the Frobenius norm of
+    the matrix, so the stopping rule scales with the matrix: a residual
+    Gram R R^T with entries near 1e-14 is still rotated to convergence.
+    Intended for the k x k matrices arising in gap computations (k <= 10).
+    """
+    A = np.array(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    if float(np.max(np.abs(A - A.T))) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
+        raise ValueError("matrix is not symmetric")
+    A = 0.5 * (A + A.T)
+    tol = JACOBI_REL_TOL * float(np.linalg.norm(A))
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if np.abs(A - np.diag(np.diag(A))).max() <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= tol:
+                    continue
+                # classical symmetric Schur rotation annihilating A[p, q]
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                J = np.eye(n)
+                J[p, p] = J[q, q] = c
+                J[p, q], J[q, p] = t * c, -t * c
+                A = J.T @ A @ J
+                A[p, q] = A[q, p] = 0.0
+    return np.sort(np.diag(A))

@@ -1,0 +1,60 @@
+"""Guard for the benchmark's traced run.
+
+``bench/spans.py`` wraps named library functions from outside; a rename
+or removal of one of them breaks ``bench/run.py --trace 1``. Loading the
+module here and instrumenting the library catches that in the test run.
+"""
+
+import contextlib
+import io
+import json
+import types
+from pathlib import Path
+
+from subspace_limits import cli, convergence, ideals, linalg
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_spans():
+    # executed from its source text, so nothing is written next to it
+    module = types.ModuleType("bench_spans")
+    exec(compile(SPANS_PATH.read_text(), str(SPANS_PATH), "exec"), module.__dict__)
+    return module
+
+
+def test_instrument_wraps_and_restores_library(tmp_path):
+    spans = load_spans()
+    before = {
+        (owner, attr): getattr(owner, attr)
+        for owner, attr in [
+            (cli, "build_experiment"),
+            (cli, "criterion_traces"),
+            (convergence, "gap_trace"),
+            (convergence, "decide_membership"),
+            (ideals, "validate_certificate"),
+            (linalg, "gap"),
+            (linalg, "n_norm"),
+        ]
+    }
+    horizon = 40
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sequence": {"builtin": "parity-split", "variant": "amended"},
+        "ideal": {"kind": "blocks"},
+        "horizon": horizon,
+        "eps_grid": [0.5, 0.1],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    tracer = spans.Tracer()
+    with spans.instrument(tracer, cli, convergence, ideals, linalg):
+        with tracer.span("op"), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", "--config", str(config)]) == 0
+    for (owner, attr), fn in before.items():
+        assert getattr(owner, attr) is fn, attr
+
+    [(metrics, _)] = spans.per_op_layers(tracer)
+    # analyze feeds its verdict from the one trace pass it writes out
+    assert metrics["convergence.rule_evals_per_index"] == 1.0
+    assert metrics["convergence.gap_trace.s"] == 0.0
+    assert metrics["ideals.validate_certificate.calls"] == 2

@@ -19,9 +19,12 @@ from subspace_limits import (
     Verdict,
     constant_orthogonal_example,
     criterion_traces,
+    det_bruteforce,
     dist_point_subspace,
     equivalence_suite,
     exceptional_set,
+    gap,
+    gap_bruteforce,
     gap_trace,
     orthonormalize,
     parity_split_example,
@@ -31,6 +34,7 @@ from subspace_limits import (
     subspace_i_converges,
     usual_converges,
 )
+from subspace_limits.convergence import TRACE_CHUNK
 
 HORIZON = 1000
 
@@ -90,6 +94,32 @@ def test_gap_trace_propagates_rule_failure_with_index():
     assert excinfo.value.index == 7
 
 
+def test_chunked_traces_match_oracles_on_battery():
+    # a horizon that ends inside a chunk, checked at every chunk seam
+    horizon = 2 * TRACE_CHUNK + 5
+    seams = sorted({1, TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK + 1, horizon})
+    for member in build_battery():
+        seq, V = member.seq, member.limit
+        traces = criterion_traces(seq, V, horizon)
+        assert [g for _, g in gap_trace(seq, V, horizon)] == traces.gap.tolist()
+        for n in range(1, horizon + 1):
+            assert traces.gap[n - 1] == pytest.approx(gap(seq.rule(n), V), abs=1e-15)
+        for n in seams:
+            U = seq.rule(n)
+            if U.k <= 3:
+                assert abs(traces.gap[n - 1] - gap_bruteforce(U, V)) <= 1e-3
+            for i, u in enumerate(U.basis):
+                joint = np.vstack([u, V.basis])
+                if len(joint) <= 6:
+                    assert traces.joint_volume[n - 1, i] ** 2 == pytest.approx(
+                        det_bruteforce(joint @ joint.T), abs=1e-12
+                    )
+                pair = np.vstack([u, (u @ V.basis.T) @ V.basis])
+                assert traces.self_volume[n - 1, i] ** 2 == pytest.approx(
+                    det_bruteforce(pair @ pair.T), abs=1e-12
+                )
+
+
 def test_exceptional_set_thresholding():
     trace = [(n, 1.0 / n) for n in range(1, 101)]
     exc = exceptional_set(trace, 0.1)
@@ -141,6 +171,15 @@ def test_scalar_limit_rejects_bad_grid():
         scalar_i_limit(x, 0.0, Ideal.finite(), eps_grid=[], horizon=10)
     with pytest.raises(ValueError):
         scalar_i_limit(x, 0.0, Ideal.finite(), eps_grid=[0.1, -0.5], horizon=10)
+
+
+@pytest.mark.parametrize("grid", [(0.01, 0.5), (0.5, 0.5), (0.5, 0.1, 0.2)])
+def test_eps_grid_must_decrease_strictly(grid):
+    seq, V, ideal = parity_split_example("amended")
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        equivalence_suite(seq, V, ideal, eps_grid=grid, horizon=50)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        scalar_i_limit(ScalarSequence(lambda n: 0.0), 0.0, ideal, eps_grid=grid, horizon=50)
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +334,6 @@ def test_determinism_identical_reports():
     assert a == b
 
 
-def test_threads_do_not_change_reports():
-    member = build_battery()[3]
-    seq, V = member.seq, member.limit
-    sequential = criterion_traces(seq, V, 300, threads=1)
-    threaded = criterion_traces(seq, V, 300, threads=4)
-    np.testing.assert_array_equal(sequential.gap, threaded.gap)
-    np.testing.assert_array_equal(sequential.residual, threaded.residual)
-
-
-def test_thread_cap_env_var(monkeypatch):
-    member = build_battery()[3]
-    seq, V = member.seq, member.limit
-    baseline = criterion_traces(seq, V, 300)
-    monkeypatch.setenv("SUBSPACE_LIMITS_THREADS", "3")
-    capped = criterion_traces(seq, V, 300)
-    np.testing.assert_array_equal(baseline.gap, capped.gap)
-
-
 # ---------------------------------------------------------------------------
 # volume check (necessary, not sufficient)
 
@@ -413,6 +434,36 @@ def test_sequence_declaration_must_match_rule():
     V = orthonormalize([(1.0, 0.0)])
     with pytest.raises(ValueError):
         SubspaceSequence(3, 1, lambda n: V)
+
+
+def test_sequence_probe_failure_is_a_rule_error():
+    with pytest.raises(RuleEvaluationError) as excinfo:
+        SubspaceSequence(2, 1, rule=lambda n: 1 / (n - 1))
+    assert excinfo.value.index == 1
+    assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize(
+    "checker", [subspace_i_converges, equivalence_suite, self_projection_volume_check]
+)
+def test_checkers_reject_traces_of_another_horizon(checker):
+    seq, V = constant_orthogonal_example()
+    traces = criterion_traces(seq, V, 50)
+    with pytest.raises(ValueError, match="horizon 50"):
+        checker(seq, V, Ideal.finite(), horizon=1000, traces=traces)
+    plane = make_member("plane", 4, 2, 3, lambda n: np.array([0.1, 0.1]), None, {})
+    with pytest.raises(ValueError, match="k=1"):
+        checker(seq, V, Ideal.finite(), horizon=50, traces=criterion_traces(
+            plane.seq, plane.limit, 50
+        ))
+
+
+def test_gap_checker_reuses_trace_gaps():
+    seq, V, ideal = parity_split_example("amended")
+    traces = criterion_traces(seq, V, 500)
+    assert subspace_i_converges(seq, V, ideal, horizon=500, traces=traces) == (
+        subspace_i_converges(seq, V, ideal, horizon=500)
+    )
 
 
 def test_rule_returning_wrong_shape_is_reported():

@@ -19,6 +19,7 @@ from subspace_limits import (
     filter_contains,
     partial_density,
 )
+from subspace_limits.ideals import _block_first_occurrences, block_indices
 
 
 def dyadic_block(j, horizon):
@@ -72,6 +73,23 @@ def test_block_index_matches_enumeration():
             assert block_index(int(m)) == j
 
 
+def test_block_indices_match_block_index():
+    m = np.arange(1, 100_001)
+    assert block_indices(m).tolist() == [block_index(int(n)) for n in m]
+
+
+def test_block_first_occurrences_match_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        P = IndexSet(2000, rng.choice(np.arange(1, 2001), size=int(rng.integers(0, 60))))
+        seen, want = set(), []
+        for m in P.members:
+            if block_index(int(m)) not in seen:
+                seen.add(block_index(int(m)))
+                want.append(int(m))
+        assert _block_first_occurrences(P) == want
+
+
 # ---------------------------------------------------------------------------
 # IndexSet
 
@@ -81,6 +99,14 @@ def test_index_set_normalizes_members():
     assert list(s.members) == [1, 3, 7]
     assert len(s) == 3
     assert 3 in s and 2 not in s
+
+
+def test_index_set_keeps_sorted_members_as_a_private_copy():
+    members = np.array([2, 5, 9])
+    s = IndexSet(10, members)
+    members[0] = 4  # the caller's array stays writable and detached
+    assert list(s.members) == [2, 5, 9]
+    assert IndexSet(10, np.array([[2, 5], [9, 10]])).members.tolist() == [2, 5, 9, 10]
 
 
 def test_index_set_rejects_out_of_range():
@@ -191,6 +217,13 @@ def test_certificate_contradiction_raises():
         decide_membership(Ideal.blocks(), IndexSet(100, [2]), SubsetOfBlocks((1,)))
     with pytest.raises(CertificateError):
         decide_membership(Ideal.finite(), IndexSet(100, [50]), EmptyTail(10))
+
+
+def test_certificate_error_names_first_escaping_member():
+    cert = SubsetOfUnion((SubsetOfBlocks((1, 3)), EmptyTail(10)))
+    members = [1, 2, 3, 4, 12, 40, 41, 44, 48, 64]  # 40 = 8 * 5 and 48 = 16 * 3 escape
+    with pytest.raises(CertificateError, match="member 40 is outside"):
+        decide_membership(Ideal.blocks(), IndexSet(100, members), cert)
 
 
 def test_exact_membership_inherited_by_subsets():

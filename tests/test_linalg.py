@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_limits import (
@@ -16,7 +16,6 @@ from subspace_limits import (
     gram_matrix,
     gramian,
     inner,
-    jacobi_eigenvalues,
     n_norm,
     orthonormalize,
     project,
@@ -33,6 +32,20 @@ def random_subspace(rng, d, k):
 
 def random_orthogonal(rng, k):
     return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+def tilted_pair(seed, d, k, size):
+    """(U, V, exact gap): U tilts each basis vector of V by a sine <= size.
+
+    The largest sine equals ``size`` exactly, and U's basis rows are mixed
+    by a random rotation so no row is a principal direction.
+    """
+    rng = np.random.default_rng(seed)
+    frame = random_orthogonal(rng, d).T
+    s = size * rng.uniform(0.1, 1.0, k)
+    s[rng.integers(k)] = size
+    rows = np.sqrt(1.0 - s * s)[:, None] * frame[:k] + s[:, None] * frame[k : 2 * k]
+    return Subspace(random_orthogonal(rng, k) @ rows), Subspace(frame[:k]), size
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +296,20 @@ def test_gap_basis_invariance():
         assert abs(gap(U2, V2) - g) <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 10),
+    st.integers(2, 5),
+    st.integers(6, 12),
+)
+def test_gap_accurate_at_small_scales(seed, d, k, exponent):
+    # a k >= 2 basis mixing its principal directions, at gaps 1e-6 .. 1e-12:
+    # the error stays at the round-off of forming the residual, ~1e-16
+    U, V, exact = tilted_pair(seed, d, min(k, d // 2), 10.0**-exponent)
+    assert abs(gap(U, V) - exact) <= 1e-9 * exact + 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Gramian / joint norm
 
@@ -353,6 +380,15 @@ def test_n_norm_with_zero_projection():
     assert n_norm([E1, p]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_n_norm_resolves_tiny_volumes():
+    # a unit vector at residual 1e-10 from its line spans area 1e-10 with it,
+    # far below the ~1.5e-8 floor of rooting a Gram determinant
+    r = 1e-10
+    u = np.array([math.sqrt(1.0 - r * r), r, 0.0])
+    assert n_norm([u, (1.0, 0.0, 0.0)]) == pytest.approx(r, rel=1e-6)
+    assert n_norm([u, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]) == pytest.approx(r, rel=1e-6)
+
+
 def test_volume_plus_alignment_identity():
     # for unit u and orthonormal v_1..v_k:
     #   ||u, v_1, .., v_k||^2 + sum_j <u, v_j>^2 = 1
@@ -365,29 +401,3 @@ def test_volume_plus_alignment_identity():
         u /= np.linalg.norm(u)
         total = n_norm(np.vstack([u, V.basis])) ** 2 + projection_norm_sq(u, V)
         assert abs(total - 1.0) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigenvalues
-
-
-def test_jacobi_diagonal_matrix():
-    np.testing.assert_allclose(
-        jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0]
-    )
-
-
-def test_jacobi_matches_eigvalsh():
-    rng = np.random.default_rng(19)
-    for _ in range(200):
-        k = int(rng.integers(1, 7))
-        M = rng.standard_normal((k, k))
-        M = M @ M.T
-        got = jacobi_eigenvalues(M)
-        want = np.linalg.eigvalsh(M)
-        np.testing.assert_allclose(got, want, atol=1e-10 * max(1.0, np.abs(want).max()))
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))

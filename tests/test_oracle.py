@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from subspace_limits import (
     SamplingPlan,
     det_bruteforce,
     gap,
     gap_bruteforce,
+    jacobi_eigenvalues,
     orthonormalize,
 )
+from test_linalg import tilted_pair
 
 
 def random_subspace(rng, d, k):
@@ -128,3 +133,41 @@ def test_gap_bruteforce_never_exceeds_closed_form():
         U = random_subspace(rng, d, k)
         V = random_subspace(rng, d, k)
         assert gap_bruteforce(U, V) <= gap(U, V) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Jacobi eigenvalues
+
+
+def test_jacobi_diagonal_matrix():
+    np.testing.assert_allclose(
+        jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0]
+    )
+
+
+def test_jacobi_matches_eigvalsh():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        M = rng.standard_normal((k, k))
+        M = M @ M.T
+        # scale-free: the same check holds for matrices of entries near 1e-14
+        M *= 10.0 ** rng.uniform(-14, 2)
+        got = jacobi_eigenvalues(M)
+        want = np.linalg.eigvalsh(M)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_jacobi_rejects_asymmetric():
+    with pytest.raises(ValueError):
+        jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 8), st.integers(2, 4), st.integers(6, 12))
+def test_jacobi_gap_cross_checks_svd_gap(seed, d, k, exponent):
+    # the gap from the eigenvalues of R R^T, by an independent solver
+    U, V, exact = tilted_pair(seed, d, min(k, d // 2), 10.0**-exponent)
+    R = U.basis - (U.basis @ V.basis.T) @ V.basis
+    by_eigen = math.sqrt(max(0.0, jacobi_eigenvalues(R @ R.T)[-1]))
+    assert abs(by_eigen - gap(U, V)) <= 1e-9 * exact + 1e-15
