@@ -22,7 +22,6 @@ from .convergence import (
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
-    ExceptionalSetTrace,
     RuleEvaluationError,
     ScalarLimitReport,
     ScalarSequence,
@@ -91,7 +90,6 @@ __all__ = [
     "DensityEstimate",
     "DimensionMismatchError",
     "EmptyTail",
-    "ExceptionalSetTrace",
     "Ideal",
     "IdealKind",
     "IdealVerdict",

@@ -21,6 +21,7 @@ one trace pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import linalg
 from .convergence import (
+    DEFAULT_EPS_GRID,
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
@@ -47,7 +49,7 @@ from .convergence import (
     self_projection_volume_check,
     subspace_i_converges,
 )
-from .ideals import Ideal, IdealKind
+from .ideals import DEFAULT_TAU, Ideal, IdealKind
 from .linalg import RankDeficiencyError, Subspace, orthonormalize
 
 EXIT_CONVERGES = 0
@@ -59,7 +61,6 @@ EXIT_RUNTIME = 4
 TRACE_HEADER = "n,gap,crit2_max_i,crit3_min_i,crit4_min_i,crit5_max_i"
 REPORT_SCHEMA = "subspace-limits/report-v1"
 
-DEFAULT_EPS = "0.5,0.1,0.01"
 DEFAULT_HORIZON = 1000
 
 
@@ -87,7 +88,7 @@ BUILTIN_SEQUENCES = {
             "sequence": {"builtin": "parity-split", "variant": "amended"},
             "ideal": {"kind": "blocks"},
             "horizon": 10000,
-            "eps_grid": [0.5, 0.1, 0.01],
+            "eps_grid": list(DEFAULT_EPS_GRID),
             "out_dir": "out",
         },
     },
@@ -103,7 +104,7 @@ BUILTIN_SEQUENCES = {
             "sequence": {"builtin": "orthogonal-constant"},
             "ideal": {"kind": "density"},
             "horizon": 1000,
-            "eps_grid": [0.5, 0.1, 0.01],
+            "eps_grid": list(DEFAULT_EPS_GRID),
             "out_dir": "out",
         },
     },
@@ -125,8 +126,20 @@ def _complete_frame(v_rows: np.ndarray, d: int, rng: np.random.Generator) -> np.
     return np.vstack(rows)
 
 
-def _sine_profile(profile: dict, k: int, field: str):
+def _builtin(name) -> dict:
+    """The BUILTIN_SEQUENCES entry for a name, or a ConfigError."""
+    entry = BUILTIN_SEQUENCES.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ConfigError(
+            "sequence.builtin",
+            f"unknown name {name!r}; choose from {sorted(BUILTIN_SEQUENCES)}",
+        )
+    return entry
+
+
+def _sine_profile(profile: dict, k: int):
     """Compile a profile spec into a function n -> per-vector sines."""
+    field = "sequence.params.profile"
     kind = profile.get("kind")
 
     def per_vector(value, name) -> np.ndarray:
@@ -167,7 +180,6 @@ def rotating_family(
     profile: dict,
     seed: int = 0,
     limit_basis: Optional[np.ndarray] = None,
-    field: str = "sequence.params",
 ):
     """Sequences rotating each limit direction toward a fixed companion.
 
@@ -187,7 +199,7 @@ def rotating_family(
     """
     if ambient_dim < 2 * k:
         raise ConfigError(
-            f"{field}.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
+            "sequence.params.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
         )
     rng = np.random.default_rng(seed)
     if limit_basis is not None:
@@ -201,7 +213,7 @@ def rotating_family(
         frame = _complete_frame(np.empty((0, ambient_dim)), ambient_dim, rng)
     V = Subspace(frame[:k])
     companions = frame[k : 2 * k]
-    sines = _sine_profile(profile, k, f"{field}.profile")
+    sines = _sine_profile(profile, k)
 
     def rule(n: int) -> Subspace:
         s = sines(n)
@@ -232,6 +244,7 @@ class ExperimentConfig:
     limit_basis: Optional[list] = None
 
     def validate(self) -> None:
+        """Check the document's shape; build_experiment checks the values it builds."""
         if not isinstance(self.sequence, dict):
             raise ConfigError("sequence", "must be an object")
         keys = {"builtin", "family"} & set(self.sequence)
@@ -239,16 +252,8 @@ class ExperimentConfig:
             raise ConfigError("sequence", "needs exactly one of 'builtin' or 'family'")
         if "builtin" in self.sequence:
             name = self.sequence["builtin"]
-            if name not in BUILTIN_SEQUENCES:
-                raise ConfigError(
-                    "sequence.builtin",
-                    f"unknown name {name!r}; choose from {sorted(BUILTIN_SEQUENCES)}",
-                )
-            variant = self.sequence.get("variant")
-            if variant is not None and not BUILTIN_SEQUENCES[name]["takes_variant"]:
+            if self.sequence.get("variant") is not None and not _builtin(name)["takes_variant"]:
                 raise ConfigError("sequence.variant", f"{name!r} takes no variant")
-            if variant is not None and variant not in ("printed", "amended"):
-                raise ConfigError("sequence.variant", "must be 'printed' or 'amended'")
         else:
             if self.sequence["family"] != "rotating":
                 raise ConfigError(
@@ -262,15 +267,6 @@ class ExperimentConfig:
                     raise ConfigError(f"sequence.params.{key}", "is required")
         if not isinstance(self.ideal, dict) or "kind" not in self.ideal:
             raise ConfigError("ideal", "must be an object with a 'kind'")
-        try:
-            IdealKind(self.ideal["kind"])
-        except ValueError:
-            raise ConfigError(
-                "ideal.kind", f"must be one of {[k.value for k in IdealKind]}"
-            ) from None
-        tau = self.ideal.get("tau", 0.01)
-        if not isinstance(tau, (int, float)) or not 0 < tau < 0.5:
-            raise ConfigError("ideal.tau", "must be a number in (0, 0.5)")
         if not isinstance(self.horizon, int) or self.horizon < 16:
             raise ConfigError("horizon", "must be an integer >= 16")
         grid = self.eps_grid
@@ -313,15 +309,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-def _ideal_from_spec(spec: dict) -> Ideal:
-    kind = IdealKind(spec["kind"])
-    if kind is IdealKind.DENSITY:
-        return Ideal.density(float(spec.get("tau", 0.01)))
-    return Ideal(kind)
+@contextlib.contextmanager
+def _config_field(field: str):
+    """Re-raise a library constructor's rejection of a value as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def build_experiment(cfg: ExperimentConfig):
     """Materialize (sequence, candidate limit, ideal) from a validated config."""
+    with _config_field("ideal.kind"):
+        kind = IdealKind(cfg.ideal["kind"])
+    with _config_field("ideal.tau"):
+        ideal = Ideal(kind, cfg.ideal.get("tau", DEFAULT_TAU))
     limit_rows = None
     if cfg.limit_basis is not None:
         try:
@@ -332,11 +334,10 @@ def build_experiment(cfg: ExperimentConfig):
             raise ConfigError("limit_basis", "must be a list of basis rows")
 
     if "builtin" in cfg.sequence:
-        entry = BUILTIN_SEQUENCES[cfg.sequence["builtin"]]
-        if entry["takes_variant"]:
-            seq, V, _ = entry["builder"](cfg.sequence.get("variant", "amended"))
-        else:
-            seq, V, _ = entry["builder"]()
+        builder = _builtin(cfg.sequence["builtin"])["builder"]
+        variant = cfg.sequence.get("variant")
+        with _config_field("sequence.variant"):
+            seq, V, _ = builder() if variant is None else builder(variant)
         if limit_rows is not None:
             V = orthonormalize(limit_rows)
             if V.ambient_dim != seq.ambient_dim or V.k != seq.k:
@@ -353,7 +354,7 @@ def build_experiment(cfg: ExperimentConfig):
             seed=int(params.get("seed", 0)),
             limit_basis=limit_rows,
         )
-    return seq, V, _ideal_from_spec(cfg.ideal)
+    return seq, V, ideal
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +402,7 @@ def _criterion_to_dict(crit: CriterionReport) -> dict:
         "candidate": crit.candidate,
         "overall": crit.overall.value,
         "per_vector": [_scalar_limit_to_dict(r) for r in crit.per_vector],
+        "thresholds": list(crit.thresholds),
     }
 
 
@@ -487,36 +489,37 @@ def _parse_eps(text: str) -> list[float]:
     return grid
 
 
+# the experiment flags and the config fields they set; a config file sets them all
+_FLAG_FIELDS = {"horizon": "horizon", "eps": "eps_grid", "ideal": "ideal.kind",
+                "tau": "ideal.tau", "variant": "sequence.variant"}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
         if args.builtin is not None:
             raise ConfigError("sequence", "give either a config file or a builtin name")
+        for flag, field in _FLAG_FIELDS.items():
+            if getattr(args, flag) is not None:
+                raise ConfigError(
+                    field, f"--{flag} cannot be combined with --config; set it in the file"
+                )
         cfg = load_config(args.config)
         if args.out_dir is not None:
             cfg.out_dir = args.out_dir
         return cfg
     if args.builtin is None:
         raise ConfigError("sequence", "give a builtin name or --config FILE")
-    entry = BUILTIN_SEQUENCES.get(args.builtin)
-    if entry is None:
-        raise ConfigError(
-            "sequence.builtin",
-            f"unknown name {args.builtin!r}; choose from {sorted(BUILTIN_SEQUENCES)}",
-        )
     sequence: dict = {"builtin": args.builtin}
-    if entry["takes_variant"]:
-        sequence["variant"] = args.variant or "amended"
-    elif args.variant is not None:
-        raise ConfigError("sequence.variant", f"{args.builtin!r} takes no variant")
-    ideal_kind = args.ideal or entry["default_config"]["ideal"]["kind"]
-    ideal: dict = {"kind": ideal_kind}
-    if ideal_kind == "density":
+    if args.variant is not None:
+        sequence["variant"] = args.variant
+    ideal: dict = {"kind": args.ideal or _builtin(args.builtin)["default_config"]["ideal"]["kind"]}
+    if args.tau is not None:
         ideal["tau"] = args.tau
     cfg = ExperimentConfig(
         sequence=sequence,
         ideal=ideal,
-        horizon=args.horizon,
-        eps_grid=_parse_eps(args.eps),
+        horizon=DEFAULT_HORIZON if args.horizon is None else args.horizon,
+        eps_grid=list(DEFAULT_EPS_GRID) if args.eps is None else _parse_eps(args.eps),
         out_dir=args.out_dir or "out",
     )
     cfg.validate()
@@ -605,12 +608,7 @@ def cmd_example(args) -> int:
             print(f"{name}")
             print(f"    {entry['summary']}")
         return EXIT_CONVERGES
-    entry = BUILTIN_SEQUENCES.get(args.name)
-    if entry is None:
-        raise ConfigError(
-            "sequence.builtin",
-            f"unknown name {args.name!r}; choose from {sorted(BUILTIN_SEQUENCES)}",
-        )
+    entry = _builtin(args.name)
     print(f"{args.name}: {entry['summary']}")
     if args.emit_config:
         path = Path(args.emit_config)
@@ -635,7 +633,9 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
         nargs="?",
         help=f"built-in sequence name ({', '.join(sorted(BUILTIN_SEQUENCES))})",
     )
-    sub.add_argument("--config", help="JSON experiment config file")
+    sub.add_argument(
+        "--config", help="JSON experiment config file; of the flags below, takes only --out-dir"
+    )
     sub.add_argument(
         "--variant",
         choices=("printed", "amended"),
@@ -646,17 +646,9 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
         choices=[k.value for k in IdealKind],
         help="ideal to judge exceptional sets against (default: the built-in's choice)",
     )
-    sub.add_argument(
-        "--tau", type=float, default=0.01, help="density threshold (density ideal only)"
-    )
-    sub.add_argument(
-        "--horizon", type=int, default=DEFAULT_HORIZON, help="number of indices to evaluate"
-    )
-    sub.add_argument(
-        "--eps",
-        default=DEFAULT_EPS,
-        help="comma-separated, strictly decreasing epsilon grid",
-    )
+    sub.add_argument("--tau", type=float, help="density threshold (density ideal only)")
+    sub.add_argument("--horizon", type=int, help="number of indices to evaluate")
+    sub.add_argument("--eps", help="comma-separated, strictly decreasing epsilon grid")
     sub.add_argument("--out-dir", help="directory for report and trace files")
 
 

@@ -50,14 +50,6 @@ DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
 # k=8, d=40 family without making the pass faster.
 TRACE_CHUNK = 16
 
-CRITERION_NAMES = (
-    "gap",
-    "vector_residual",
-    "coefficient_mass",
-    "projection_norm",
-    "joint_volume",
-)
-
 
 class Verdict(enum.Enum):
     CONVERGES = "converges"
@@ -108,20 +100,6 @@ class ScalarSequence:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class ExceptionalSetTrace:
-    """Indices where a per-n value meets or exceeds a threshold."""
-
-    epsilon: float
-    index_set: IndexSet
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def _call_rule(rule, n: int):
     try:
         return rule(n)
@@ -143,19 +121,12 @@ def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[in
     return list(zip(range(1, horizon + 1), criterion_traces(seq, V, horizon).gap.tolist()))
 
 
-def exceptional_set(trace: Sequence[tuple[int, float]], epsilon: float) -> ExceptionalSetTrace:
-    """Threshold a trace at >= epsilon, exactly.
-
-    The trace must cover consecutive indices 1..horizon.
-    """
+def exceptional_set(values: Sequence[float], epsilon: float) -> IndexSet:
+    """The indices n with values[n - 1] >= epsilon, for n = 1..len(values)."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ns = np.asarray([n for n, _ in trace], dtype=np.int64)
-    values = np.asarray([v for _, v in trace], dtype=float)
-    if ns.size == 0 or not np.array_equal(ns, np.arange(1, ns.size + 1)):
-        raise ValueError("trace must cover consecutive indices starting at 1")
-    members = np.flatnonzero(values >= epsilon) + 1
-    return ExceptionalSetTrace(epsilon, IndexSet(int(ns.size), members), values)
+    v = np.asarray(values, dtype=float)
+    return IndexSet(v.size, np.flatnonzero(v >= epsilon) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -171,22 +142,17 @@ class ScalarLimitReport:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Verdicts for one convergence criterion, conjoined over basis vectors."""
+    """Verdicts for one convergence criterion, conjoined over basis vectors.
+
+    ``thresholds[i]`` is the bound on |value - candidate| that stands for
+    the i-th eps of the grid in this criterion's exceptional sets.
+    """
 
     name: str
     candidate: float
     per_vector: tuple[ScalarLimitReport, ...]
     overall: Verdict
-
-    def eps_status(self, epsilon: float) -> Status:
-        """Combined per-epsilon status across basis vectors."""
-        statuses = [
-            verdict.status
-            for rep in self.per_vector
-            for eps, verdict in rep.per_epsilon
-            if eps == epsilon
-        ]
-        return _combine_statuses(statuses)
+    thresholds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -211,22 +177,13 @@ class ConvergenceReport:
         return len(decided) <= 1
 
 
-def _combine_statuses(statuses: Sequence[Status]) -> Status:
-    if any(s is Status.NOT_IN_IDEAL for s in statuses):
-        return Status.NOT_IN_IDEAL
-    if statuses and all(s is Status.IN_IDEAL for s in statuses):
-        return Status.IN_IDEAL
-    return Status.INCONCLUSIVE
-
-
-def _overall_from_statuses(statuses: Sequence[Status]) -> Verdict:
-    # a single eps with an exceptional set outside the ideal already
-    # disproves convergence; all eps inside it establish convergence
-    if any(s is Status.NOT_IN_IDEAL for s in statuses):
-        return Verdict.DOES_NOT_CONVERGE
-    if statuses and all(s is Status.IN_IDEAL for s in statuses):
-        return Verdict.CONVERGES
-    return Verdict.INCONCLUSIVE
+# One eps whose exceptional set is outside the ideal already disproves
+# convergence; every eps inside it establishes convergence.
+_VERDICT_OF_STATUS = {
+    Status.IN_IDEAL: Verdict.CONVERGES,
+    Status.NOT_IN_IDEAL: Verdict.DOES_NOT_CONVERGE,
+    Status.INCONCLUSIVE: Verdict.INCONCLUSIVE,
+}
 
 
 def _conjoin(verdicts: Sequence[Verdict]) -> Verdict:
@@ -253,17 +210,17 @@ def _limit_from_values(
     candidate: float,
     ideal: Ideal,
     eps_grid: tuple[float, ...],
+    thresholds: tuple[float, ...],
     certificate: Optional[Callable[[float], TailCertificate]],
 ) -> ScalarLimitReport:
-    horizon = int(values.size)
+    """Per-eps verdicts on {n : |values[n-1] - candidate| >= threshold}."""
     deviations = np.abs(values - candidate)
     per_epsilon = []
-    for eps in eps_grid:
-        members = np.flatnonzero(deviations >= eps) + 1
-        P = IndexSet(horizon, members)
+    for eps, threshold in zip(eps_grid, thresholds):
         cert = certificate(eps) if certificate is not None else None
-        per_epsilon.append((eps, decide_membership(ideal, P, cert)))
-    overall = _overall_from_statuses([v.status for _, v in per_epsilon])
+        verdict = decide_membership(ideal, exceptional_set(deviations, threshold), cert)
+        per_epsilon.append((eps, verdict))
+    overall = _conjoin([_VERDICT_OF_STATUS[v.status] for _, v in per_epsilon])
     return ScalarLimitReport(float(candidate), tuple(per_epsilon), overall)
 
 
@@ -290,7 +247,7 @@ def scalar_i_limit(
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
         raise RuleEvaluationError(bad, "rule produced a non-finite value")
-    return _limit_from_values(values, candidate, ideal, grid, x.exceptional_certificate)
+    return _limit_from_values(values, candidate, ideal, grid, grid, x.exceptional_certificate)
 
 
 # --------------------------------------------------------------------------
@@ -355,29 +312,52 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
 # Convergence checkers
 
 
-def _gap_criterion(
-    gap_values: np.ndarray,
-    ideal: Ideal,
-    eps_grid: tuple[float, ...],
-    certificate,
-) -> CriterionReport:
-    rep = _limit_from_values(gap_values, 0.0, ideal, eps_grid, certificate)
-    return CriterionReport("gap", 0.0, (rep,), rep.overall)
+# Coefficient masses and projection norms are compared with 1, and their
+# distance from 1 carries a few units of round-off (at most 7e-16 measured
+# for k <= 50, d <= 400). A threshold below this floor would count that
+# noise, so these two criteria resolve residuals down to ~6e-8.
+_NEAR_ONE_FLOOR = 16 * np.finfo(float).eps
 
 
-def _vector_criterion(
-    name: str,
-    values: np.ndarray,
-    candidate: float,
-    ideal: Ideal,
-    eps_grid: tuple[float, ...],
-    certificate,
+def _mass_threshold(eps: float) -> float:
+    return max(eps * eps, _NEAR_ONE_FLOOR)
+
+
+def _projection_threshold(eps: float) -> float:
+    if eps >= 1.0:
+        return eps
+    # 1 - sqrt(1 - eps^2), written without the cancellation at small eps
+    return max(eps * eps / (1.0 + math.sqrt(1.0 - eps * eps)), _NEAR_ONE_FLOOR)
+
+
+# The five equivalent criteria: name, CriterionTraces column, candidate, and
+# the map from eps to the threshold on |value - candidate|. For a basis
+# vector with residual r, |mass - 1| = r^2, 1 - ||P_V(u)|| = 1 - sqrt(1 - r^2)
+# and the joint volume is r, so every per-vector exceptional set equals the
+# residual's at the same eps, up to round-off.
+_CRITERIA = (
+    ("gap", "gap", 0.0, lambda eps: eps),
+    ("vector_residual", "residual", 0.0, lambda eps: eps),
+    ("coefficient_mass", "coefficient_mass", 1.0, _mass_threshold),
+    ("projection_norm", "projection_norm", 1.0, _projection_threshold),
+    ("joint_volume", "joint_volume", 0.0, lambda eps: eps),
+)
+CRITERION_NAMES = tuple(row[0] for row in _CRITERIA)
+_SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, lambda eps: eps)
+
+
+def _criterion(
+    row: tuple, traces: CriterionTraces, ideal: Ideal, eps_grid: tuple[float, ...], certificate
 ) -> CriterionReport:
+    """One table row judged on each column of its trace, conjoined."""
+    name, column, candidate, threshold = row
+    columns = getattr(traces, column).reshape(traces.horizon, -1)
+    thresholds = tuple(threshold(eps) for eps in eps_grid)
     reps = tuple(
-        _limit_from_values(values[:, i], candidate, ideal, eps_grid, certificate)
-        for i in range(values.shape[1])
+        _limit_from_values(columns[:, i], candidate, ideal, eps_grid, thresholds, certificate)
+        for i in range(columns.shape[1])
     )
-    return CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]))
+    return CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]), thresholds)
 
 
 def _traces_for(
@@ -408,12 +388,12 @@ def subspace_i_converges(
     evaluating the sequence again.
     """
     grid = _validate_eps_grid(eps_grid)
-    values = _traces_for(seq, V, horizon, traces).gap
-    crit = _gap_criterion(values, ideal, grid, seq.exceptional_certificate)
+    traces = _traces_for(seq, V, horizon, traces)
+    crit = _criterion(_CRITERIA[0], traces, ideal, grid, seq.exceptional_certificate)
     evidence = {
         "sequence": seq.description,
-        "gap_max": float(values.max()),
-        "gap_final": float(values[-1]),
+        "gap_max": float(traces.gap.max()),
+        "gap_final": float(traces.gap[-1]),
     }
     return ConvergenceReport(ideal, horizon, grid, (crit,), crit.overall, evidence)
 
@@ -448,26 +428,19 @@ def equivalence_suite(
 ) -> ConvergenceReport:
     """Evaluate all five equivalent convergence criteria side by side.
 
-    Criteria two to five are judged per basis vector and conjoined. Pass
-    precomputed ``traces`` to amortize evaluation across several ideals.
+    Criteria two to five are judged per basis vector and conjoined; each
+    maps eps to the threshold that makes its exceptional sets the vector
+    residual's (see ``CriterionReport.thresholds``). Pass precomputed
+    ``traces`` to amortize evaluation across several ideals.
     """
     grid = _validate_eps_grid(eps_grid)
     traces = _traces_for(seq, V, horizon, traces)
     # Each basis vector of U_n is a unit vector of U_n, so its residual is
-    # at most the gap, and the other per-vector deviations are at most the
-    # residual; a certificate for the gap's exceptional sets therefore
+    # at most the gap, and every criterion's exceptional set at eps is the
+    # residual's; a certificate for the gap's exceptional sets therefore
     # covers the exceptional sets of every criterion at the same eps.
-    cert = seq.exceptional_certificate
-    criteria = (
-        _gap_criterion(traces.gap, ideal, grid, cert),
-        _vector_criterion("vector_residual", traces.residual, 0.0, ideal, grid, cert),
-        _vector_criterion(
-            "coefficient_mass", traces.coefficient_mass, 1.0, ideal, grid, cert
-        ),
-        _vector_criterion(
-            "projection_norm", traces.projection_norm, 1.0, ideal, grid, cert
-        ),
-        _vector_criterion("joint_volume", traces.joint_volume, 0.0, ideal, grid, cert),
+    criteria = tuple(
+        _criterion(row, traces, ideal, grid, seq.exceptional_certificate) for row in _CRITERIA
     )
     evidence = {
         "sequence": seq.description,
@@ -506,11 +479,8 @@ def self_projection_volume_check(
     grid = _validate_eps_grid(eps_grid)
     traces = _traces_for(seq, V, horizon, traces)
     cert = seq.exceptional_certificate
-    volume = _vector_criterion(
-        "self_projection_volume", traces.self_volume, 0.0, ideal, grid, cert
-    )
-    gap_crit = _gap_criterion(traces.gap, ideal, grid, cert)
-    subspace_overall = gap_crit.overall
+    volume = _criterion(_SELF_VOLUME, traces, ideal, grid, cert)
+    subspace_overall = _criterion(_CRITERIA[0], traces, ideal, grid, cert).overall
     implication_holds = not (
         subspace_overall is Verdict.CONVERGES and volume.overall is not Verdict.CONVERGES
     )

@@ -20,15 +20,16 @@ checkpoints, and should be read as "what the data suggests".
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-DEFAULT_TAU = 0.01                    # density threshold separating small from large
-DEFAULT_STABILIZATION_FRACTION = 0.2  # trailing window that must stay quiet
-DEFAULT_BLOCK_WINDOW_FRACTION = 0.2   # same, for newly seen block indices
-DYADIC_CHECKPOINTS = 5                # partial densities at horizon / 2^i, i = 0..4
+DEFAULT_TAU = 0.01             # density threshold separating small from large
+STABILIZATION_FRACTION = 0.2   # trailing window that must stay free of new members
+BLOCK_WINDOW_FRACTION = 0.2    # same, for newly seen block indices
+DYADIC_CHECKPOINTS = 5         # partial densities at horizon / 2^i, i = 0..4
 
 
 class CertificateError(ValueError):
@@ -173,28 +174,18 @@ def certificate_covers(cert: TailCertificate, members: np.ndarray) -> np.ndarray
 
 
 def certificate_is_finite(cert: TailCertificate) -> bool:
-    """Whether the certified superset is finite."""
-    if isinstance(cert, EmptyTail):
-        return True
-    if isinstance(cert, SubsetOfBlocks):
-        return False
-    if isinstance(cert, SubsetOfUnion):
-        return all(certificate_is_finite(p) for p in cert.parts)
-    raise TypeError(f"not a tail certificate: {cert!r}")
+    """Whether the certified superset is finite.
 
-
-def certificate_has_zero_density(cert: TailCertificate) -> bool:
-    """Whether the certified superset provably has natural density zero.
-
-    A dyadic block D_j has density 2^-j > 0, so only finite parts prove a
-    zero-density bound within this certificate grammar.
+    In this grammar that is also exactly when the superset provably has
+    density zero: a dyadic block D_j has density 2^-j > 0, so only the
+    finite parts of a certificate bound the density by zero.
     """
     if isinstance(cert, EmptyTail):
         return True
     if isinstance(cert, SubsetOfBlocks):
         return False
     if isinstance(cert, SubsetOfUnion):
-        return all(certificate_has_zero_density(p) for p in cert.parts)
+        return all(certificate_is_finite(p) for p in cert.parts)
     raise TypeError(f"not a tail certificate: {cert!r}")
 
 
@@ -230,28 +221,22 @@ class IdealKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Ideal:
-    """One of the three built-in ideal families plus its empirical knobs.
+    """One of the three built-in ideal families.
 
-    ``tau`` only matters for the density ideal. The window fractions set
-    how much of the trailing horizon must be free of new members (finite
-    ideal) or new block indices (block ideal) before an empirical InIdeal
-    verdict is issued.
+    ``tau`` only matters for the density ideal. How much of the trailing
+    horizon must be free of new members (finite ideal) or new block
+    indices (block ideal) before an empirical InIdeal verdict is issued is
+    fixed by ``STABILIZATION_FRACTION`` and ``BLOCK_WINDOW_FRACTION``.
     """
 
     kind: IdealKind
     tau: float = DEFAULT_TAU
-    stabilization_fraction: float = DEFAULT_STABILIZATION_FRACTION
-    block_window_fraction: float = DEFAULT_BLOCK_WINDOW_FRACTION
 
     def __post_init__(self):
         if not isinstance(self.kind, IdealKind):
             object.__setattr__(self, "kind", IdealKind(self.kind))
-        if not 0.0 < self.tau < 0.5:
-            raise ValueError(f"tau must lie in (0, 0.5), got {self.tau}")
-        for name in ("stabilization_fraction", "block_window_fraction"):
-            f = getattr(self, name)
-            if not 0.0 < f <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {f}")
+        if not isinstance(self.tau, numbers.Real) or not 0.0 < self.tau < 0.5:
+            raise ValueError(f"tau must be a number in (0, 0.5), got {self.tau!r}")
 
     @staticmethod
     def finite() -> "Ideal":
@@ -294,6 +279,11 @@ class IdealVerdict:
 # Densities
 
 
+def _dyadic_checkpoints(horizon: int) -> list[int]:
+    """horizon // 2^i for i = DYADIC_CHECKPOINTS - 1 down to 0, increasing."""
+    return [horizon // 2**i for i in range(DYADIC_CHECKPOINTS - 1, -1, -1)]
+
+
 def partial_density(P: IndexSet, j: int) -> float:
     """|P intersect {1..j}| / j, the j-th partial density of P."""
     if j < 1:
@@ -330,8 +320,7 @@ def density_estimate(P: IndexSet) -> DensityEstimate:
     """
     if P.horizon < 16:
         raise ValueError(f"need horizon >= 16 for a dyadic trail, got {P.horizon}")
-    js = [P.horizon // 2**i for i in range(DYADIC_CHECKPOINTS - 1, -1, -1)]
-    checkpoints = tuple((j, partial_density(P, j)) for j in js)
+    checkpoints = tuple((j, partial_density(P, j)) for j in _dyadic_checkpoints(P.horizon))
     return DensityEstimate(checkpoints[-1][1], checkpoints)
 
 
@@ -341,10 +330,8 @@ def density_estimate(P: IndexSet) -> DensityEstimate:
 
 def _dyadic_windows(horizon: int) -> list[tuple[int, int]]:
     """Consecutive index windows (lo, hi] ending at the dyadic checkpoints."""
-    js = [horizon // 2**i for i in range(DYADIC_CHECKPOINTS - 1, -1, -1)]
-    windows = [(0, js[0])]
-    windows += [(a, b) for a, b in zip(js, js[1:])]
-    return windows
+    js = _dyadic_checkpoints(horizon)
+    return list(zip([0] + js, js))
 
 
 def _members_in_every_window(P: IndexSet) -> bool:
@@ -383,12 +370,8 @@ def decide_membership(
     base_evidence: dict = {"horizon": P.horizon, "member_count": len(P)}
     if certificate is not None:
         validate_certificate(certificate, P)
-        proves = {
-            IdealKind.FINITE: certificate_is_finite(certificate),
-            IdealKind.DENSITY: certificate_has_zero_density(certificate),
-            IdealKind.BLOCKS: True,
-        }[ideal.kind]
-        if proves:
+        # every certificate in the grammar meets finitely many blocks
+        if ideal.kind is IdealKind.BLOCKS or certificate_is_finite(certificate):
             return IdealVerdict(
                 Status.IN_IDEAL,
                 Mode.EXACT,
@@ -400,7 +383,7 @@ def decide_membership(
         )
 
     if ideal.kind is IdealKind.FINITE:
-        window = max(1, int(ideal.stabilization_fraction * P.horizon))
+        window = max(1, int(STABILIZATION_FRACTION * P.horizon))
         last = P.last()
         evidence = {**base_evidence, "last_member": last, "window": window}
         if last <= P.horizon - window:
@@ -436,7 +419,7 @@ def decide_membership(
         return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
 
     # block ideal
-    window = max(1, int(ideal.block_window_fraction * P.horizon))
+    window = max(1, int(BLOCK_WINDOW_FRACTION * P.horizon))
     events = _block_first_occurrences(P)
     last_new = events[-1] if events else 0
     evidence = {

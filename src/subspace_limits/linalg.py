@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances. Callers may override per call where a function takes
-# an explicit tolerance argument.
 TOL_ORTHO = 1e-10      # max |B B^T - I| entry allowed in an orthonormal basis
 RANK_TOL = 1e-8        # elimination residual below which a vector is dependent
 SUBSPACE_EQ_TOL = 1e-8  # gap threshold under which two subspaces count as equal
@@ -94,9 +92,9 @@ class Subspace:
     def k(self) -> int:
         return int(self.basis.shape[0])
 
-    def same_span(self, other: "Subspace", tol: float = SUBSPACE_EQ_TOL) -> bool:
-        """True when both bases span the same subspace (gap within tol)."""
-        return gap(self, other) <= tol
+    def same_span(self, other: "Subspace") -> bool:
+        """True when both bases span the same subspace (gap within SUBSPACE_EQ_TOL)."""
+        return gap(self, other) <= SUBSPACE_EQ_TOL
 
     def __repr__(self) -> str:  # keep reprs short; bases can be large
         return f"Subspace(k={self.k}, ambient_dim={self.ambient_dim})"
@@ -111,13 +109,13 @@ def inner(u, v) -> float:
     return float(a @ b)
 
 
-def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> Subspace:
+def orthonormalize(vectors) -> Subspace:
     """Build a Subspace from linearly independent spanning vectors.
 
     Modified Gram-Schmidt with one full re-orthogonalization pass, which is
     stable enough at the dimensions this library targets (d up to a few
     hundred). Raises :class:`RankDeficiencyError` naming the first vector
-    whose elimination residual drops below ``rank_tol``.
+    whose elimination residual drops below ``RANK_TOL``.
     """
     rows = _as_vector_family(vectors)
     k, d = rows.shape
@@ -131,7 +129,7 @@ def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> Subspace:
         for b in basis:  # second pass kills the round-off left by the first
             w -= (w @ b) * b
         norm = float(np.linalg.norm(w))
-        if norm < rank_tol:
+        if norm < RANK_TOL:
             raise RankDeficiencyError(i)
         basis.append(w / norm)
     return Subspace(np.vstack(basis))

@@ -9,6 +9,7 @@ import pytest
 from subspace_limits.cli import (
     EXIT_CONVERGES,
     EXIT_DOES_NOT_CONVERGE,
+    EXIT_USAGE,
     TRACE_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -198,6 +199,72 @@ def test_analyze_increasing_eps_grid_rejected(tmp_path, capsys):
     path = write(tmp_path / "config.json", json.dumps(cfg))
     assert main(["analyze", "--config", path]) > 2
     assert "eps_grid" in capsys.readouterr().err
+
+
+PARITY_CONFIG = {
+    "sequence": {"builtin": "parity-split", "variant": "amended"},
+    "ideal": {"kind": "blocks"},
+    "horizon": 500,
+    "eps_grid": [0.5, 0.1],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--horizon", "40", "horizon"),
+        ("--eps", "0.3", "eps_grid"),
+        ("--ideal", "density", "ideal.kind"),
+        ("--tau", "0.2", "ideal.tau"),
+        ("--variant", "printed", "sequence.variant"),
+    ],
+)
+def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
+    # a config file sets every experiment field; a flag beside it used to be
+    # dropped without a word
+    path = write(tmp_path / "c.json", json.dumps(PARITY_CONFIG))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", path, flag, value, "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, flags, field",
+    [
+        ({"ideal": {"kind": "cofinite"}}, None, "ideal.kind"),
+        (
+            {"ideal": {"kind": "density", "tau": 0.7}},
+            ["parity-split", "--ideal", "density", "--tau", "0.7"],
+            "ideal.tau",
+        ),
+        ({"ideal": {"kind": "density", "tau": "small"}}, None, "ideal.tau"),
+        ({"sequence": {"builtin": "no-such"}}, ["no-such"], "sequence.builtin"),
+        ({"sequence": {"builtin": "parity-split", "variant": "reprinted"}}, None, "sequence.variant"),
+        (
+            {"sequence": {"builtin": "orthogonal-constant", "variant": "printed"}},
+            ["orthogonal-constant", "--variant", "printed"],
+            "sequence.variant",
+        ),
+    ],
+    ids=[
+        "kind-unknown",
+        "tau-out-of-range",
+        "tau-not-a-number",
+        "builtin-unknown",
+        "variant-unknown",
+        "variant-not-taken",
+    ],
+)
+def test_bad_values_name_their_field(tmp_path, capsys, change, flags, field):
+    path = write(tmp_path / "c.json", json.dumps({**PARITY_CONFIG, **change}))
+    with pytest.raises(ConfigError) as excinfo:
+        build_experiment(load_config(path))
+    assert excinfo.value.field == field
+    for args in [["--config", path]] + ([flags] if flags else []):
+        assert main(["analyze", *args, "--out-dir", str(tmp_path / "o")]) == EXIT_USAGE
+        assert f"config field '{field}'" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code_is_not_inconclusive(capsys):

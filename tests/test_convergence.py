@@ -7,6 +7,7 @@ import pytest
 
 from battery import BATTERY_IDEALS, build_battery, make_member, power_profile
 from subspace_limits import (
+    CRITERION_NAMES,
     EmptyTail,
     Ideal,
     RuleEvaluationError,
@@ -34,6 +35,7 @@ from subspace_limits import (
     subspace_i_converges,
     usual_converges,
 )
+from subspace_limits.cli import rotating_family
 from subspace_limits.convergence import TRACE_CHUNK
 
 HORIZON = 1000
@@ -121,21 +123,20 @@ def test_chunked_traces_match_oracles_on_battery():
 
 
 def test_exceptional_set_thresholding():
-    trace = [(n, 1.0 / n) for n in range(1, 101)]
-    exc = exceptional_set(trace, 0.1)
-    assert list(exc.index_set.members) == list(range(1, 11))  # 1/n >= 0.1 iff n <= 10
+    values = [1.0 / n for n in range(1, 101)]
+    exc = exceptional_set(values, 0.1)
+    assert exc.horizon == 100
+    assert list(exc.members) == list(range(1, 11))  # 1/n >= 0.1 iff n <= 10
 
 
 def test_exceptional_set_all_or_nothing():
-    zero = [(n, 0.0) for n in range(1, 51)]
-    assert len(exceptional_set(zero, 0.1).index_set) == 0
-    ones = [(n, 1.0) for n in range(1, 51)]
-    assert len(exceptional_set(ones, 0.5).index_set) == 50
+    assert len(exceptional_set(np.zeros(50), 0.1)) == 0
+    assert len(exceptional_set(np.ones(50), 0.5)) == 50
 
 
 def test_exceptional_set_requires_positive_epsilon():
     with pytest.raises(ValueError):
-        exceptional_set([(1, 0.0)], 0.0)
+        exceptional_set([0.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,36 @@ def test_suite_orthogonal_constant_all_diverge():
     assert rep.criteria_agree()
 
 
+@pytest.mark.parametrize("ideal", BATTERY_IDEALS.values(), ids=list(BATTERY_IDEALS))
+@pytest.mark.parametrize(
+    "sine, grid, verdict",
+    [
+        # every gap is 1e-6, between the two eps; |mass - 1| = 1e-12 and
+        # 1 - ||P u|| = 5e-13 fall below 5e-7, so at an unmapped threshold
+        # those two criteria would see no exceptional index
+        (1e-6, (0.5, 5e-7), Verdict.DOES_NOT_CONVERGE),
+        # U_n = V: the round-off in the mass (~1e-16) exceeds eps^2 = 1e-18,
+        # so an unfloored threshold would see every index as exceptional
+        (0.0, (0.5, 1e-9), Verdict.CONVERGES),
+    ],
+    ids=["gap-between-eps", "exact-limit"],
+)
+def test_suite_criteria_agree_at_a_fine_eps_grid(ideal, sine, grid, verdict):
+    seq, V = rotating_family(8, 2, {"kind": "constant", "value": sine})
+    rep = equivalence_suite(seq, V, ideal, eps_grid=grid, horizon=200)
+    assert rep.criteria_agree()
+    assert all(c.overall is verdict for c in rep.criteria)
+    by_name = {c.name: c for c in rep.criteria}
+    assert by_name["vector_residual"].thresholds == grid
+    assert by_name["coefficient_mass"].thresholds[0] == 0.25
+
+    def member_counts(crit):
+        return [[v.evidence["member_count"] for _, v in r.per_epsilon] for r in crit.per_vector]
+
+    for name in ("coefficient_mass", "projection_norm", "joint_volume"):
+        assert member_counts(by_name[name]) == member_counts(by_name["vector_residual"])
+
+
 def test_suite_criterion_names_and_shape():
     seq, V, ideal = parity_split_example("amended")
     rep = equivalence_suite(seq, V, ideal, horizon=500)
@@ -295,6 +326,7 @@ def test_suite_criterion_names_and_shape():
         "projection_norm",
         "joint_volume",
     ]
+    assert tuple(c.name for c in rep.criteria) == CRITERION_NAMES
     assert len(rep.criteria[0].per_vector) == 1
     assert all(len(c.per_vector) == seq.k for c in rep.criteria[1:])
 
