@@ -17,8 +17,8 @@ equivalent to it and are evaluated side by side by
 * each joint volume ||u_i, v_1, ..., v_k|| tends to 0.
 
 All evaluation is deterministic; identical inputs produce identical
-reports. Each index is evaluated once per trace pass, in fixed-size
-chunks whose bases go through batched kernels.
+reports. Each index is evaluated once per trace pass, in chunks sized
+by an element budget, whose bases go through batched kernels.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .linalg import Subspace
 
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
 
-# Indices per batched kernel call. Larger chunks raised peak memory on a
-# k=8, d=40 family without making the pass faster.
-TRACE_CHUNK = 16
+# Elements per chunk in its largest temporary, the (k, k+1, d) joint-volume stack:
+# 16 indices at k=8, d=40, where more raised peak memory without speeding the pass.
+TRACE_CHUNK_ELEMENTS = 16 * 8 * 9 * 40
 
 
 class Verdict(enum.Enum):
@@ -109,7 +109,7 @@ def _call_rule(rule, n: int):
 
 def _eval_rule(seq: SubspaceSequence, n: int) -> Subspace:
     U = _call_rule(seq.rule, n)
-    if not isinstance(U, Subspace) or U.k != seq.k or U.ambient_dim != seq.ambient_dim:
+    if not isinstance(U, Subspace) or U.basis.shape != (seq.k, seq.ambient_dim):
         raise RuleEvaluationError(
             n, f"rule returned {U!r}, expected k={seq.k}, d={seq.ambient_dim}"
         )
@@ -287,9 +287,10 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
     residual, coefficient_mass, projection_norm, joint_volume, self_volume = (
         np.empty((horizon, k)) for _ in range(5)
     )
-    buf = np.empty((TRACE_CHUNK, k, d))
-    for lo in range(0, horizon, TRACE_CHUNK):
-        A = buf[: min(TRACE_CHUNK, horizon - lo)]
+    chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * (k + 1) * d)))
+    buf = np.empty((chunk, k, d))
+    for lo in range(0, horizon, chunk):
+        A = buf[: min(chunk, horizon - lo)]
         for j in range(A.shape[0]):
             A[j] = _eval_rule(seq, lo + j + 1).basis
         rows = slice(lo, lo + A.shape[0])
@@ -518,11 +519,11 @@ def parity_split_example(variant: str = "amended"):
     if variant not in ("printed", "amended"):
         raise ValueError(f"variant must be 'printed' or 'amended', got {variant!r}")
     V = Subspace(np.array([[0.0, 1.0, 0.0]]))
-    odd_line = np.array([[0.0, 0.0, 1.0]])
+    odd_line = Subspace(np.array([[0.0, 0.0, 1.0]]))
 
     def rule(n: int) -> Subspace:
         if n % 2 == 1:
-            return Subspace(odd_line)
+            return odd_line
         s = math.sin(n)
         raw = np.array([s / n, 1.0, 0.0]) if variant == "amended" else np.array(
             [s / n, 1.0 / n, 0.0]

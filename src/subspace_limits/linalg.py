@@ -74,10 +74,14 @@ class Subspace:
         k, d = b.shape
         if not 1 <= k <= d:
             raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("basis has non-finite entries")
-        dev = float(np.max(np.abs(b @ b.T - np.eye(k))))
-        if dev > TOL_ORTHO:
+        # G - I from one Gram product; non-finite or huge entries make dev non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = b @ b.T
+        g.ravel()[:: k + 1] -= 1.0
+        dev = float(np.abs(g).max())
+        if not dev <= TOL_ORTHO:
+            if not np.all(np.isfinite(b)):
+                raise ValueError("basis has non-finite entries")
             raise ValueError(
                 f"basis rows are not orthonormal (max |B B^T - I| entry = {dev:.3e})"
             )

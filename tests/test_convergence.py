@@ -35,8 +35,8 @@ from subspace_limits import (
     subspace_i_converges,
     usual_converges,
 )
+from subspace_limits import convergence
 from subspace_limits.cli import rotating_family
-from subspace_limits.convergence import TRACE_CHUNK
 
 HORIZON = 1000
 
@@ -96,12 +96,16 @@ def test_gap_trace_propagates_rule_failure_with_index():
     assert excinfo.value.index == 7
 
 
-def test_chunked_traces_match_oracles_on_battery():
-    # a horizon that ends inside a chunk, checked at every chunk seam
-    horizon = 2 * TRACE_CHUNK + 5
-    seams = sorted({1, TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK + 1, horizon})
+def test_chunked_traces_match_oracles_on_battery(monkeypatch):
+    # a budget small enough that every member spans at least two chunks and
+    # ends inside a third, checked at every chunk seam
+    monkeypatch.setattr(convergence, "TRACE_CHUNK_ELEMENTS", 120)
     for member in build_battery():
         seq, V = member.seq, member.limit
+        chunk = 120 // (seq.k * (seq.k + 1) * seq.ambient_dim)
+        horizon = 2 * chunk + max(1, chunk // 2)
+        assert 2 <= chunk and horizon % chunk != 0
+        seams = sorted({1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, horizon})
         traces = criterion_traces(seq, V, horizon)
         assert [g for _, g in gap_trace(seq, V, horizon)] == traces.gap.tolist()
         for n in range(1, horizon + 1):
@@ -120,6 +124,17 @@ def test_chunked_traces_match_oracles_on_battery():
                 assert traces.self_volume[n - 1, i] ** 2 == pytest.approx(
                     det_bruteforce(pair @ pair.T), abs=1e-12
                 )
+
+
+def test_chunked_traces_at_the_real_budget():
+    # parity-split (k=1, d=3) just past one full chunk, against its closed
+    # form: 1 on odd n, |sin n| / sqrt(n^2 + sin^2 n) on even n
+    seq, V, _ = parity_split_example("amended")
+    horizon = convergence.TRACE_CHUNK_ELEMENTS // (1 * 2 * 3) + 5
+    n = np.arange(1, horizon + 1, dtype=float)
+    s = np.abs(np.sin(n))
+    expected = np.where(n % 2 == 1, 1.0, s / np.sqrt(n * n + s * s))
+    np.testing.assert_allclose(criterion_traces(seq, V, horizon).gap, expected, rtol=1e-12)
 
 
 def test_exceptional_set_thresholding():

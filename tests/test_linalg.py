@@ -1,6 +1,7 @@
 """Unit and property tests for the linear-algebra kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from subspace_limits import (
     project,
     projection_norm_sq,
 )
+from subspace_limits.linalg import TOL_ORTHO
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -142,6 +144,54 @@ def test_orthonormalize_preserves_span():
 def test_subspace_rejects_skewed_basis():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_subspace_rejects_non_finite_entries(bad, row):
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    basis[row, 2] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        Subspace(basis)
+
+
+@pytest.mark.parametrize("basis", [[[1e200, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, -1e300, 0.0]]])
+def test_subspace_rejects_huge_rows_without_warning(basis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.array(basis))
+
+
+def old_orthonormality_error(b):
+    """The check the one-Gram check replaced, as the message it raised (None: accepted)."""
+    if not np.all(np.isfinite(b)):
+        return "basis has non-finite entries"
+    dev = float(np.max(np.abs(b @ b.T - np.eye(b.shape[0]))))
+    if dev > TOL_ORTHO:
+        return f"basis rows are not orthonormal (max |B B^T - I| entry = {dev:.3e})"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.floats(9.0, 11.0),
+)
+def test_subspace_accepts_what_the_old_check_accepts(seed, k, extra, exponent):
+    # orthonormal rows pushed 1e-11 .. 1e-9 off, straddling TOL_ORTHO = 1e-10:
+    # the same bases pass, and the rejected ones get the same message
+    rng = np.random.default_rng(seed)
+    q = random_orthogonal(rng, k + extra)[:k]
+    b = q + 10.0**-exponent * rng.uniform(-1.0, 1.0, q.shape)
+    try:
+        Subspace(b)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    assert error == old_orthonormality_error(b)
 
 
 def test_subspace_basis_read_only():
