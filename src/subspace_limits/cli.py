@@ -202,12 +202,15 @@ def rotating_family(
             "sequence.params.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
         )
     rng = np.random.default_rng(seed)
-    v_rows = np.empty((0, ambient_dim))
     if limit_basis is not None:
         v_rows = orthonormalize(limit_basis).basis
         if v_rows.shape != (k, ambient_dim):
-            raise ConfigError("limit_basis", f"expected {k} rows of length {ambient_dim}")
-    frame = _complete_frame(v_rows, ambient_dim, rng)
+            raise ConfigError(
+                "limit_basis", f"expected {k} rows of length {ambient_dim}"
+            )
+        frame = _complete_frame(v_rows, ambient_dim, rng)
+    else:
+        frame = _complete_frame(np.empty((0, ambient_dim)), ambient_dim, rng)
     V = Subspace(frame[:k])
     companions = frame[k : 2 * k]
     sines = _sine_profile(profile, k)
@@ -690,13 +693,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except RuleEvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except RankDeficiencyError as exc:
         print(f"error: rank-deficient input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -98,14 +98,15 @@ def test_gap_trace_propagates_rule_failure_with_index():
 
 def test_chunked_traces_match_oracles_on_battery(monkeypatch):
     # a budget small enough that every member spans at least two chunks and
-    # ends inside a third, checked at every chunk seam
+    # ends inside a partial one, checked at every chunk seam
     monkeypatch.setattr(convergence, "TRACE_CHUNK_ELEMENTS", 120)
+    horizon = 37
     for member in build_battery():
         seq, V = member.seq, member.limit
         chunk = 120 // (seq.k * (seq.k + 1) * seq.ambient_dim)
-        horizon = 2 * chunk + max(1, chunk // 2)
-        assert 2 <= chunk and horizon % chunk != 0
-        seams = sorted({1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, horizon})
+        assert 2 <= chunk < horizon and horizon % chunk != 0
+        starts = range(chunk + 1, horizon + 1, chunk)
+        seams = sorted({1, horizon, *starts, *(s - 1 for s in starts)})
         traces = criterion_traces(seq, V, horizon)
         assert [g for _, g in gap_trace(seq, V, horizon)] == traces.gap.tolist()
         for n in range(1, horizon + 1):
