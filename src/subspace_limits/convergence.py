@@ -46,9 +46,9 @@ from .linalg import Subspace
 
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
 
-# Elements per chunk in its largest temporary, the (k, k+1, d) joint-volume stack:
-# 16 indices at k=8, d=40, where more raised peak memory without speeding the pass.
-TRACE_CHUNK_ELEMENTS = 16 * 8 * 9 * 40
+# Elements per chunk of the (k, d) basis stack: 16 indices at k=8, d=40, where
+# more raised peak memory without speeding the pass.
+TRACE_CHUNK_ELEMENTS = 16 * 8 * 40
 
 
 class Verdict(enum.Enum):
@@ -259,7 +259,10 @@ class CriterionTraces:
     """Raw per-index values feeding all five criteria plus the volume check.
 
     Row n-1 of each array corresponds to index n; the columns of the
-    two-dimensional arrays follow the basis vectors of U_n.
+    two-dimensional arrays follow the basis vectors of U_n. The two volumes
+    are derived from the residual: for an orthonormal basis of V the Gram
+    determinants factorise, so ||u_i, v_1, ..., v_k|| = ||u_i - P_V(u_i)||
+    and ||u_i, P_V(u_i)|| = ||P_V(u_i)|| ||u_i - P_V(u_i)||.
     """
 
     horizon: int
@@ -268,8 +271,16 @@ class CriterionTraces:
     residual: np.ndarray          # (horizon, k): ||u_i - P_V(u_i)||
     coefficient_mass: np.ndarray  # (horizon, k): sum_j <u_i, v_j>^2
     projection_norm: np.ndarray   # (horizon, k): ||P_V(u_i)||
-    joint_volume: np.ndarray      # (horizon, k): ||u_i, v_1, ..., v_k||
-    self_volume: np.ndarray       # (horizon, k): ||u_i, P_V(u_i)||
+
+    @property
+    def joint_volume(self) -> np.ndarray:
+        """(horizon, k): ||u_i, v_1, ..., v_k||."""
+        return self.residual
+
+    @property
+    def self_volume(self) -> np.ndarray:
+        """(horizon, k): ||u_i, P_V(u_i)||."""
+        return self.projection_norm * self.residual
 
 
 def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> CriterionTraces:
@@ -284,10 +295,8 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
     k, d = seq.k, seq.ambient_dim
     B = V.basis
     gap = np.empty(horizon)
-    residual, coefficient_mass, projection_norm, joint_volume, self_volume = (
-        np.empty((horizon, k)) for _ in range(5)
-    )
-    chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * (k + 1) * d)))
+    residual, coefficient_mass, projection_norm = (np.empty((horizon, k)) for _ in range(3))
+    chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * d)))
     buf = np.empty((chunk, k, d))
     for lo in range(0, horizon, chunk):
         A = buf[: min(chunk, horizon - lo)]
@@ -295,18 +304,11 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
             A[j] = _eval_rule(seq, lo + j + 1).basis
         rows = slice(lo, lo + A.shape[0])
         C, R = linalg.cross_residual(A, B)
-        P = C @ B
         gap[rows] = linalg.residual_gap(R)
         residual[rows] = np.linalg.norm(R, axis=-1)
         coefficient_mass[rows] = np.einsum("nij,nij->ni", C, C)
-        projection_norm[rows] = np.linalg.norm(P, axis=-1)
-        # family i of index n: (u_i, v_1, ..., v_k) and (u_i, P_V(u_i))
-        with_limit = np.broadcast_to(B, (A.shape[0], k, k, d))
-        joint_volume[rows] = linalg.volumes(np.concatenate([A[:, :, None], with_limit], axis=2))
-        self_volume[rows] = linalg.volumes(np.stack([A, P], axis=2))
-    return CriterionTraces(
-        horizon, k, gap, residual, coefficient_mass, projection_norm, joint_volume, self_volume
-    )
+        projection_norm[rows] = np.linalg.norm(C @ B, axis=-1)
+    return CriterionTraces(horizon, k, gap, residual, coefficient_mass, projection_norm)
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Everything here works on plain float vectors and on `Subspace` objects,
 which store an orthonormal basis as rows of a read-only array. The module
 provides inner products, orthonormalization, orthogonal projection,
 point-to-subspace distance, the gap metric (from an SVD) and the joint
-norm (a QR volume) of a vector family; the gap and volume kernels also
-take stacks of bases. All functions are pure and safe to share across threads.
+norm (a QR volume) of a vector family; only the gap kernels also take
+stacks of bases. All functions are pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -184,20 +184,6 @@ def residual_gap(R: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.linalg.svd(R, compute_uv=False)[..., 0])
 
 
-def volumes(M: np.ndarray) -> np.ndarray:
-    """Joint norm of each stacked vector family M (..., r, d), rows as vectors.
-
-    The r-volume of the parallelotope the rows span is |prod diag R| of the
-    QR factorization of the d x r matrix whose columns are the rows; it
-    vanishes when the rows are dependent, in particular when r > d.
-    """
-    r, d = M.shape[-2:]
-    if r > d:
-        return np.zeros(M.shape[:-2])
-    R = np.linalg.qr(np.swapaxes(M, -1, -2), mode="r")
-    return np.abs(np.prod(np.diagonal(R, axis1=-2, axis2=-1), axis=-1))
-
-
 def gap(U: Subspace, V: Subspace) -> float:
     """Gap between two equal-dimensional subspaces.
 
@@ -234,8 +220,14 @@ def gramian(vectors) -> float:
 def n_norm(vectors) -> float:
     """Joint norm of a vector family: sqrt of the Gram determinant.
 
-    Measures the volume of the parallelotope the vectors span; zero when
-    they are dependent. Computed by :func:`volumes`, which stays accurate
-    for volumes far below the ~1e-8 floor of rooting a Gram determinant.
+    Measures the r-volume of the parallelotope the r vectors span: |prod diag R|
+    of the QR factorization of the d x r matrix whose columns are the vectors.
+    It is zero when they are dependent, in particular when r > d, and stays
+    accurate far below the ~1e-8 floor of rooting a Gram determinant.
     """
-    return float(volumes(_as_vector_family(vectors)))
+    rows = _as_vector_family(vectors)
+    r, d = rows.shape
+    if r > d:
+        return 0.0
+    R = np.linalg.qr(rows.T, mode="r")
+    return float(abs(np.prod(np.diag(R))))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from battery import BATTERY_IDEALS, build_battery, make_member, power_profile
 from subspace_limits import (
@@ -27,6 +29,7 @@ from subspace_limits import (
     gap,
     gap_bruteforce,
     gap_trace,
+    n_norm,
     orthonormalize,
     parity_split_example,
     scalar_i_limit,
@@ -99,11 +102,11 @@ def test_gap_trace_propagates_rule_failure_with_index():
 def test_chunked_traces_match_oracles_on_battery(monkeypatch):
     # a budget small enough that every member spans at least two chunks and
     # ends inside a partial one, checked at every chunk seam
-    monkeypatch.setattr(convergence, "TRACE_CHUNK_ELEMENTS", 120)
+    monkeypatch.setattr(convergence, "TRACE_CHUNK_ELEMENTS", 60)
     horizon = 37
     for member in build_battery():
         seq, V = member.seq, member.limit
-        chunk = 120 // (seq.k * (seq.k + 1) * seq.ambient_dim)
+        chunk = 60 // (seq.k * seq.ambient_dim)
         assert 2 <= chunk < horizon and horizon % chunk != 0
         starts = range(chunk + 1, horizon + 1, chunk)
         seams = sorted({1, horizon, *starts, *(s - 1 for s in starts)})
@@ -131,11 +134,37 @@ def test_chunked_traces_at_the_real_budget():
     # parity-split (k=1, d=3) just past one full chunk, against its closed
     # form: 1 on odd n, |sin n| / sqrt(n^2 + sin^2 n) on even n
     seq, V, _ = parity_split_example("amended")
-    horizon = convergence.TRACE_CHUNK_ELEMENTS // (1 * 2 * 3) + 5
+    horizon = convergence.TRACE_CHUNK_ELEMENTS // (1 * 3) + 5
     n = np.arange(1, horizon + 1, dtype=float)
     s = np.abs(np.sin(n))
     expected = np.where(n % 2 == 1, 1.0, s / np.sqrt(n * n + s * s))
-    np.testing.assert_allclose(criterion_traces(seq, V, horizon).gap, expected, rtol=1e-12)
+    traces = criterion_traces(seq, V, horizon)
+    np.testing.assert_allclose(traces.gap, expected, rtol=1e-12)
+    np.testing.assert_allclose(traces.joint_volume[:, 0], expected, rtol=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 8),
+    st.floats(0.0, 12.0),
+)
+def test_volumes_match_the_qr_kernel(seed, d, k, exponent):
+    # each basis vector of U_n is rotated off a random V by its own sine, 1e-12 .. 1;
+    # the volumes derived from the residual match n_norm's QR. The joint
+    # volume is the sine itself to round-off, while the QR of the k + 1
+    # vectors (u_i, v_1, ..., v_k) carries up to ~(k + 1) ulps.
+    k = min(k, d // 2)
+    sines = 10.0 ** -np.random.default_rng(seed).uniform(0.0, exponent, k)
+    seq, V = rotating_family(d, k, {"kind": "constant", "value": sines.tolist()}, seed=seed)
+    traces = criterion_traces(seq, V, 1)
+    assert np.max(np.abs(traces.joint_volume[0] - sines)) <= 1e-15
+    qr_tol = 2 * (k + 1) * np.finfo(float).eps
+    for i, u in enumerate(seq.rule(1).basis):
+        assert abs(traces.joint_volume[0, i] - n_norm([u, *V.basis])) <= qr_tol
+        pu = (u @ V.basis.T) @ V.basis
+        assert abs(traces.self_volume[0, i] - n_norm([u, pu])) <= 1e-15
 
 
 def test_exceptional_set_thresholding():

@@ -428,6 +428,8 @@ def test_n_norm_with_zero_projection():
     # the projection of e1 onto span{e2} is the zero vector
     p = project(E1, orthonormalize([E2]))
     assert n_norm([E1, p]) == pytest.approx(0.0, abs=1e-12)
+    # more vectors than dimensions are always dependent
+    assert n_norm([E1, E2, (1.0, 1.0)]) == 0.0
 
 
 def test_n_norm_resolves_tiny_volumes():
