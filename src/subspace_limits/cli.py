@@ -24,7 +24,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,6 +33,7 @@ import numpy as np
 from . import linalg
 from .convergence import (
     DEFAULT_EPS_GRID,
+    DEFAULT_HORIZON,
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
@@ -60,8 +61,6 @@ EXIT_RUNTIME = 4
 
 TRACE_HEADER = "n,gap,crit2_max_i,crit3_min_i,crit4_min_i,crit5_max_i"
 REPORT_SCHEMA = "subspace-limits/report-v1"
-
-DEFAULT_HORIZON = 1000
 
 
 class ConfigError(ValueError):
@@ -109,21 +108,6 @@ BUILTIN_SEQUENCES = {
         },
     },
 }
-
-
-def _complete_frame(v_rows: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Extend orthonormal rows to a full orthonormal frame of R^d."""
-    rows = [r for r in v_rows]
-    while len(rows) < d:
-        w = rng.standard_normal(d)
-        for b in rows:
-            w -= (w @ b) * b
-        for b in rows:
-            w -= (w @ b) * b
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            rows.append(w / norm)
-    return np.vstack(rows)
 
 
 def _builtin(name) -> dict:
@@ -201,15 +185,16 @@ def rotating_family(
         raise ConfigError(
             "sequence.params.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
         )
-    rng = np.random.default_rng(seed)
-    v_rows = np.empty((0, ambient_dim))
+    limit_rows = np.empty((0, ambient_dim))
     if limit_basis is not None:
-        v_rows = orthonormalize(limit_basis).basis
-        if v_rows.shape != (k, ambient_dim):
+        limit_rows = np.asarray(limit_basis, dtype=float)
+        if limit_rows.shape != (k, ambient_dim):
             raise ConfigError(
                 "limit_basis", f"expected {k} rows of length {ambient_dim}"
             )
-    frame = _complete_frame(v_rows, ambient_dim, rng)
+    rng = np.random.default_rng(seed)
+    randoms = rng.standard_normal((ambient_dim - len(limit_rows), ambient_dim))
+    frame = orthonormalize(np.vstack([limit_rows, randoms])).basis
     V = Subspace(frame[:k])
     companions = frame[k : 2 * k]
     sines = _sine_profile(profile, k)
@@ -239,7 +224,7 @@ class ExperimentConfig:
     ideal: dict
     horizon: int
     eps_grid: list[float]
-    out_dir: str
+    out_dir: str = "out"
     limit_basis: Optional[list] = None
 
     def validate(self) -> None:
@@ -279,33 +264,33 @@ class ExperimentConfig:
             raise ConfigError("out_dir", "must be a non-empty string")
 
 
-CONFIG_KEYS = {"sequence", "ideal", "horizon", "eps_grid", "out_dir", "limit_basis"}
+def _read_document(path: str | Path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<document>", f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("<document>", "top level must be an object")
+    return doc
+
+
+def _validated(doc: dict) -> ExperimentConfig:
+    """The one way a config document, from a file or from flags, becomes a config."""
+    keys = fields(ExperimentConfig)
+    unknown = set(doc) - {f.name for f in keys}
+    if unknown:
+        raise ConfigError(sorted(unknown)[0], "is not a recognized key")
+    for f in keys:
+        if f.default is MISSING and f.name not in doc:
+            raise ConfigError(f.name, "is required")
+    cfg = ExperimentConfig(**doc)
+    cfg.validate()
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<document>", f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("<document>", "top level must be an object")
-    unknown = set(raw) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "is not a recognized key")
-    for key in ("sequence", "ideal", "horizon", "eps_grid"):
-        if key not in raw:
-            raise ConfigError(key, "is required")
-    cfg = ExperimentConfig(
-        sequence=raw["sequence"],
-        ideal=raw["ideal"],
-        horizon=raw["horizon"],
-        eps_grid=raw["eps_grid"],
-        out_dir=raw.get("out_dir", "out"),
-        limit_basis=raw.get("limit_basis"),
-    )
-    cfg.validate()
-    return cfg
+    return _validated(_read_document(path))
 
 
 @contextlib.contextmanager
@@ -371,11 +356,12 @@ def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
         traces.residual.max(axis=1),
         traces.coefficient_mass.min(axis=1),
         traces.projection_norm.min(axis=1),
-        traces.joint_volume.max(axis=1),
     ])
-    lines = [TRACE_HEADER] + [
-        ",".join([str(n), *map(_fmt, row)]) for n, row in enumerate(columns.tolist(), 1)
-    ]
+    lines = [TRACE_HEADER]
+    for n, row in enumerate(columns.tolist(), 1):
+        cells = [_fmt(x) for x in row]
+        # crit5_max_i, the joint volume, is the residual column itself
+        lines.append(",".join([str(n), *cells, cells[1]]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -502,27 +488,24 @@ def _config_from_args(args) -> ExperimentConfig:
                 raise ConfigError(
                     field, f"--{flag} cannot be combined with --config; set it in the file"
                 )
-        cfg = load_config(args.config)
-        if args.out_dir is not None:
-            cfg.out_dir = args.out_dir
-        return cfg
-    if args.builtin is None:
+        doc = _read_document(args.config)
+    elif args.builtin is None:
         raise ConfigError("sequence", "give a builtin name or --config FILE")
-    sequence: dict = {"builtin": args.builtin}
-    if args.variant is not None:
-        sequence["variant"] = args.variant
-    ideal: dict = {"kind": args.ideal or _builtin(args.builtin)["default_config"]["ideal"]["kind"]}
-    if args.tau is not None:
-        ideal["tau"] = args.tau
-    cfg = ExperimentConfig(
-        sequence=sequence,
-        ideal=ideal,
-        horizon=DEFAULT_HORIZON if args.horizon is None else args.horizon,
-        eps_grid=list(DEFAULT_EPS_GRID) if args.eps is None else _parse_eps(args.eps),
-        out_dir=args.out_dir or "out",
-    )
-    cfg.validate()
-    return cfg
+    else:
+        default_ideal = _builtin(args.builtin)["default_config"]["ideal"]["kind"]
+        ideal: dict = {"kind": args.ideal or default_ideal}
+        if args.tau is not None:
+            ideal["tau"] = args.tau
+        doc = {
+            # a null variant means the builtin's default, as in a config file
+            "sequence": {"builtin": args.builtin, "variant": args.variant},
+            "ideal": ideal,
+            "horizon": DEFAULT_HORIZON if args.horizon is None else args.horizon,
+            "eps_grid": list(DEFAULT_EPS_GRID) if args.eps is None else _parse_eps(args.eps),
+        }
+    if args.out_dir is not None:
+        doc["out_dir"] = args.out_dir
+    return _validated(doc)
 
 
 def _prepare(args):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .ideals import (
 from .linalg import Subspace
 
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
+DEFAULT_HORIZON = 1000
 
 # Elements per chunk of the (k, d) basis stack: 16 indices at k=8, d=40, where
 # more raised peak memory without speeding the pass.
@@ -229,7 +230,7 @@ def scalar_i_limit(
     candidate: float,
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = 1000,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ScalarLimitReport:
     """Decide whether x_n tends to the candidate under the ideal.
 
@@ -333,20 +334,25 @@ def _projection_threshold(eps: float) -> float:
     return max(eps * eps / (1.0 + math.sqrt(1.0 - eps * eps)), _NEAR_ONE_FLOOR)
 
 
+def _eps_threshold(eps: float) -> float:
+    return eps
+
+
 # The five equivalent criteria: name, CriterionTraces column, candidate, and
 # the map from eps to the threshold on |value - candidate|. For a basis
 # vector with residual r, |mass - 1| = r^2, 1 - ||P_V(u)|| = 1 - sqrt(1 - r^2)
 # and the joint volume is r, so every per-vector exceptional set equals the
-# residual's at the same eps, up to round-off.
+# residual's at the same eps, up to round-off. The joint volume is the
+# residual column itself, so the suite judges it once for both rows.
 _CRITERIA = (
-    ("gap", "gap", 0.0, lambda eps: eps),
-    ("vector_residual", "residual", 0.0, lambda eps: eps),
+    ("gap", "gap", 0.0, _eps_threshold),
+    ("vector_residual", "residual", 0.0, _eps_threshold),
     ("coefficient_mass", "coefficient_mass", 1.0, _mass_threshold),
     ("projection_norm", "projection_norm", 1.0, _projection_threshold),
-    ("joint_volume", "joint_volume", 0.0, lambda eps: eps),
+    ("joint_volume", "residual", 0.0, _eps_threshold),
 )
 CRITERION_NAMES = tuple(row[0] for row in _CRITERIA)
-_SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, lambda eps: eps)
+_SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, _eps_threshold)
 
 
 def _criterion(
@@ -382,7 +388,7 @@ def subspace_i_converges(
     V: Subspace,
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = 1000,
+    horizon: int = DEFAULT_HORIZON,
     traces: Optional[CriterionTraces] = None,
 ) -> ConvergenceReport:
     """Decide convergence of the sequence to V under the ideal (gap criterion).
@@ -405,7 +411,7 @@ def usual_converges(
     seq: SubspaceSequence,
     V: Subspace,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = 1000,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ConvergenceReport:
     """Plain convergence: the finite ideal's notion."""
     return subspace_i_converges(seq, V, Ideal.finite(), eps_grid, horizon)
@@ -415,7 +421,7 @@ def statistical_converges(
     seq: SubspaceSequence,
     V: Subspace,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = 1000,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ConvergenceReport:
     """Statistical convergence: the zero-density ideal's notion."""
     return subspace_i_converges(seq, V, Ideal.density(), eps_grid, horizon)
@@ -426,7 +432,7 @@ def equivalence_suite(
     V: Subspace,
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = 1000,
+    horizon: int = DEFAULT_HORIZON,
     traces: Optional[CriterionTraces] = None,
 ) -> ConvergenceReport:
     """Evaluate all five equivalent convergence criteria side by side.
@@ -442,9 +448,12 @@ def equivalence_suite(
     # at most the gap, and every criterion's exceptional set at eps is the
     # residual's; a certificate for the gap's exceptional sets therefore
     # covers the exceptional sets of every criterion at the same eps.
-    criteria = tuple(
-        _criterion(row, traces, ideal, grid, seq.exceptional_certificate) for row in _CRITERIA
-    )
+    # rows that share a column and threshold share one judged report
+    judged: dict[tuple, CriterionReport] = {}
+    for row in _CRITERIA:
+        if row[1:] not in judged:
+            judged[row[1:]] = _criterion(row, traces, ideal, grid, seq.exceptional_certificate)
+    criteria = tuple(replace(judged[row[1:]], name=row[0]) for row in _CRITERIA)
     evidence = {
         "sequence": seq.description,
         "gap_max": float(traces.gap.max()),
@@ -475,7 +484,7 @@ def self_projection_volume_check(
     V: Subspace,
     ideal: Ideal,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = 1000,
+    horizon: int = DEFAULT_HORIZON,
     traces: Optional[CriterionTraces] = None,
 ) -> VolumeCheckReport:
     """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0."""

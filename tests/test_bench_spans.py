@@ -23,6 +23,24 @@ def load_spans():
     return module
 
 
+def traced_op(spans, tmp_path, subcommand: str) -> dict:
+    """Per-layer metrics of one traced run on parity-split, horizon 40, two eps."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sequence": {"builtin": "parity-split", "variant": "amended"},
+        "ideal": {"kind": "blocks"},
+        "horizon": 40,
+        "eps_grid": [0.5, 0.1],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    tracer = spans.Tracer()
+    with spans.instrument(tracer, cli, convergence, ideals, linalg):
+        with tracer.span("op"), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([subcommand, "--config", str(config)]) == 0
+    [(metrics, _)] = spans.per_op_layers(tracer)
+    return metrics
+
+
 def test_instrument_wraps_and_restores_library(tmp_path):
     spans = load_spans()
     before = {
@@ -37,24 +55,18 @@ def test_instrument_wraps_and_restores_library(tmp_path):
             (linalg, "n_norm"),
         ]
     }
-    horizon = 40
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "sequence": {"builtin": "parity-split", "variant": "amended"},
-        "ideal": {"kind": "blocks"},
-        "horizon": horizon,
-        "eps_grid": [0.5, 0.1],
-        "out_dir": str(tmp_path / "out"),
-    }))
-    tracer = spans.Tracer()
-    with spans.instrument(tracer, cli, convergence, ideals, linalg):
-        with tracer.span("op"), contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["analyze", "--config", str(config)]) == 0
+    metrics = traced_op(spans, tmp_path, "analyze")
     for (owner, attr), fn in before.items():
         assert getattr(owner, attr) is fn, attr
 
-    [(metrics, _)] = spans.per_op_layers(tracer)
     # analyze feeds its verdict from the one trace pass it writes out
     assert metrics["convergence.rule_evals_per_index"] == 1.0
     assert metrics["convergence.gap_trace.s"] == 0.0
     assert metrics["ideals.validate_certificate.calls"] == 2
+
+
+def test_suite_decides_each_distinct_column_once(tmp_path):
+    # k=1, two eps: gap, residual (shared by the joint volume), mass and
+    # projection in the suite, then the volume check's self volume and gap
+    metrics = traced_op(load_spans(), tmp_path, "suite")
+    assert metrics["ideals.decide_membership.calls"] == 12

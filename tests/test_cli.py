@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_limits.cli import (
     EXIT_CONVERGES,
@@ -20,6 +22,7 @@ from subspace_limits.cli import (
     report_verdicts,
     rotating_family,
 )
+from subspace_limits.linalg import RankDeficiencyError, orthonormalize
 
 
 def write(path, text):
@@ -267,6 +270,18 @@ def test_bad_values_name_their_field(tmp_path, capsys, change, flags, field):
         assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["builtin", "config"])
+def test_empty_out_dir_is_rejected(tmp_path, monkeypatch, capsys, source):
+    # --out-dir is checked like the file's out_dir on both paths; an empty
+    # one used to write into the working directory or into out/
+    path = write(tmp_path / "c.json", json.dumps(PARITY_CONFIG))
+    args = ["parity-split"] if source == "builtin" else ["--config", path]
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", *args, "--out-dir", ""]) == EXIT_USAGE
+    assert "config field 'out_dir'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_usage_error_exit_code_is_not_inconclusive(capsys):
     # argparse usage failures must not collide with the verdict exit codes
     assert main(["analyze", "--no-such-flag"]) == 3
@@ -431,6 +446,15 @@ def test_load_config_rejects_unknown_key(tmp_path):
     assert "horizont" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("key", ["sequence", "ideal", "horizon", "eps_grid"])
+def test_load_config_names_missing_required_key(tmp_path, key):
+    doc = {k: v for k, v in PARITY_CONFIG.items() if k != key}
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write(tmp_path / "c.json", json.dumps(doc)))
+    assert excinfo.value.field == key
+    assert str(excinfo.value) == f"config field '{key}': is required"
+
+
 def test_load_config_rejects_non_json(tmp_path):
     path = write(tmp_path / "c.json", "not json at all")
     with pytest.raises(ConfigError):
@@ -464,3 +488,46 @@ def test_rotating_family_limit_override():
 def test_rotating_family_needs_room_for_companions():
     with pytest.raises(ConfigError):
         rotating_family(3, 2, {"kind": "constant", "value": 0.0})
+
+
+def _reference_frame(v_rows: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The frame completion rotating_family used before it called orthonormalize."""
+    rows = [r for r in v_rows]
+    while len(rows) < d:
+        w = rng.standard_normal(d)
+        for b in rows:
+            w -= (w @ b) * b
+        for b in rows:
+            w -= (w @ b) * b
+        norm = np.linalg.norm(w)
+        if norm > 1e-6:
+            rows.append(w / norm)
+    return np.vstack(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dk=st.integers(2, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d // 2))),
+    with_limit=st.booleans(),
+)
+def test_rotating_family_frame_matches_reference(seed, dk, with_limit):
+    d, k = dk
+    limit = np.random.default_rng(seed + 1).standard_normal((k, d)) if with_limit else None
+    v_rows = orthonormalize(limit).basis if with_limit else np.empty((0, d))
+    frame = _reference_frame(v_rows, d, np.random.default_rng(seed))
+    # a constant sine of 1 turns every limit direction into its companion
+    seq, V = rotating_family(d, k, {"kind": "constant", "value": 1.0}, seed, limit)
+    assert np.array_equal(V.basis, frame[:k])
+    assert np.array_equal(seq.rule(1).basis, frame[k : 2 * k])
+
+
+def test_rotating_family_rejects_bad_limit_basis():
+    profile = {"kind": "constant", "value": 0.1}
+    for rows in (1, 3):
+        with pytest.raises(ConfigError) as excinfo:
+            rotating_family(6, 2, profile, limit_basis=np.eye(6)[:rows])
+        assert excinfo.value.field == "limit_basis"
+    dependent = np.array([[1.0, 0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0, 0]])
+    with pytest.raises(RankDeficiencyError):
+        rotating_family(6, 2, profile, limit_basis=dependent)

@@ -1,5 +1,6 @@
 """Tests for the convergence engine and the built-in sequences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -478,6 +479,19 @@ def test_battery_hierarchy_usual_implies_every_ideal(battery_with_traces):
                     member.seq, member.limit, ideal, horizon=HORIZON, traces=traces
                 )
                 assert rep.overall is Verdict.CONVERGES
+
+
+def test_suite_joint_volume_is_the_residual_report(battery_with_traces):
+    # the joint volume is the residual column, so the suite judges it once
+    for member, traces in battery_with_traces:
+        for ideal in BATTERY_IDEALS.values():
+            rep = equivalence_suite(
+                member.seq, member.limit, ideal, horizon=HORIZON, traces=traces
+            )
+            by_name = {c.name: c for c in rep.criteria}
+            joint = by_name["joint_volume"]
+            assert joint.name == "joint_volume"
+            assert dataclasses.replace(joint, name="vector_residual") == by_name["vector_residual"]
 
 
 def test_battery_basis_invariance_of_verdicts():
