@@ -71,6 +71,19 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {message}")
 
 
+def _object(value, field: str, known, required=()) -> None:
+    """Check a config object: a dict with only ``known`` keys and every ``required`` one."""
+    if not isinstance(value, dict):
+        raise ConfigError(field, "must be an object")
+    prefix = f"{field}." if field else ""
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(prefix + unknown[0], "is not a recognized key")
+    for key in required:
+        if key not in value:
+            raise ConfigError(prefix + key, "is required")
+
+
 # --------------------------------------------------------------------------
 # Built-in sequences and parametric families
 
@@ -121,10 +134,19 @@ def _builtin(name) -> dict:
     return entry
 
 
+_PROFILE_KEYS = {
+    "constant": ("kind", "value"),
+    "power_decay": ("kind", "scale", "exponent"),
+    "parity": ("kind", "odd_value", "even_scale", "even_exponent"),
+}
+
+
 def _sine_profile(profile: dict, k: int):
     """Compile a profile spec into a function n -> per-vector sines."""
     field = "sequence.params.profile"
-    kind = profile.get("kind")
+    kind = profile.get("kind") if isinstance(profile, dict) else None
+    # an unknown kind is reported below, before any of its keys
+    _object(profile, field, _PROFILE_KEYS.get(kind, profile))
 
     def per_vector(value, name) -> np.ndarray:
         arr = np.asarray(value, dtype=float).reshape(-1)
@@ -179,7 +201,7 @@ def rotating_family(
       "even_exponent": p}``
 
     ``value``/``scale``/``odd_value``/``even_scale`` accept a scalar or a
-    list of k values.
+    list of k values; any other key is a ConfigError.
     """
     if ambient_dim < 2 * k:
         raise ConfigError(
@@ -235,31 +257,26 @@ class ExperimentConfig:
         if len(keys) != 1:
             raise ConfigError("sequence", "needs exactly one of 'builtin' or 'family'")
         if "builtin" in self.sequence:
+            _object(self.sequence, "sequence", ("builtin", "variant"))
             name = self.sequence["builtin"]
             if self.sequence.get("variant") is not None and not _builtin(name)["takes_variant"]:
                 raise ConfigError("sequence.variant", f"{name!r} takes no variant")
         else:
+            _object(self.sequence, "sequence", ("family", "params"))
             if self.sequence["family"] != "rotating":
                 raise ConfigError(
                     "sequence.family", "the only parametric family is 'rotating'"
                 )
-            params = self.sequence.get("params")
-            if not isinstance(params, dict):
-                raise ConfigError("sequence.params", "must be an object")
-            for key in ("ambient_dim", "k", "profile"):
-                if key not in params:
-                    raise ConfigError(f"sequence.params.{key}", "is required")
-        if not isinstance(self.ideal, dict) or "kind" not in self.ideal:
-            raise ConfigError("ideal", "must be an object with a 'kind'")
+            known = ("ambient_dim", "k", "profile", "seed")
+            _object(self.sequence.get("params"), "sequence.params", known, known[:3])
+        _object(self.ideal, "ideal", ("kind", "tau"), ("kind",))
         if not isinstance(self.horizon, int) or self.horizon < 16:
             raise ConfigError("horizon", "must be an integer >= 16")
         grid = self.eps_grid
         if not isinstance(grid, list) or not all(isinstance(e, (int, float)) for e in grid):
             raise ConfigError("eps_grid", "must be a list of numbers")
-        try:
+        with _config_field("eps_grid"):
             _validate_eps_grid(grid)
-        except ValueError as exc:
-            raise ConfigError("eps_grid", str(exc)) from None
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError("out_dir", "must be a non-empty string")
 
@@ -277,12 +294,7 @@ def _read_document(path: str | Path) -> dict:
 def _validated(doc: dict) -> ExperimentConfig:
     """The one way a config document, from a file or from flags, becomes a config."""
     keys = fields(ExperimentConfig)
-    unknown = set(doc) - {f.name for f in keys}
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "is not a recognized key")
-    for f in keys:
-        if f.default is MISSING and f.name not in doc:
-            raise ConfigError(f.name, "is required")
+    _object(doc, "", [f.name for f in keys], [f.name for f in keys if f.default is MISSING])
     cfg = ExperimentConfig(**doc)
     cfg.validate()
     return cfg

@@ -16,6 +16,11 @@ equivalent to it and are evaluated side by side by
 * each projection norm ||P_V(u_i)|| tends to 1,
 * each joint volume ||u_i, v_1, ..., v_k|| tends to 0.
 
+The three checkers, :func:`subspace_i_converges`, :func:`equivalence_suite`
+and :func:`self_projection_volume_check`, are row sets of one judging
+path over the criterion table: the certificate is read once per eps and
+each distinct exceptional-set column is judged once.
+
 All evaluation is deterministic; identical inputs produce identical
 reports. Each index is evaluated once per trace pass, in chunks sized
 by an element budget, whose bases go through batched kernels.
@@ -32,6 +37,7 @@ import numpy as np
 
 from . import linalg
 from .ideals import (
+    CertificateError,
     EmptyTail,
     Ideal,
     IdealVerdict,
@@ -40,6 +46,7 @@ from .ideals import (
     SubsetOfBlocks,
     SubsetOfUnion,
     TailCertificate,
+    certificate_describe,
     decide_membership,
 )
 from .linalg import Subspace
@@ -72,7 +79,8 @@ class SubspaceSequence:
 
     ``exceptional_certificate`` optionally maps eps to a tail certificate
     for the set {n : gap(U_n, V) >= eps} against the sequence's intended
-    limit; it is what makes exact convergence verdicts possible.
+    limit, or to None where it has none; it is what makes exact
+    convergence verdicts possible. It is read once per eps of a grid.
     """
 
     ambient_dim: int
@@ -206,21 +214,36 @@ def _validate_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def _certificates(certificate, grid: tuple[float, ...]) -> tuple:
+    """The certificate at each eps of the grid, read once; None where there is none."""
+    if certificate is None:
+        return (None,) * len(grid)
+    certs = []
+    for eps in grid:
+        try:
+            cert = certificate(eps)
+            if cert is not None:
+                certificate_describe(cert)  # a TypeError outside the certificate grammar
+        except Exception as exc:
+            raise CertificateError(f"certificate function failed at eps={eps!r}: {exc}") from exc
+        certs.append(cert)
+    return tuple(certs)
+
+
 def _limit_from_values(
     values: np.ndarray,
     candidate: float,
     ideal: Ideal,
     eps_grid: tuple[float, ...],
     thresholds: tuple[float, ...],
-    certificate: Optional[Callable[[float], TailCertificate]],
+    certs: tuple[Optional[TailCertificate], ...],
 ) -> ScalarLimitReport:
     """Per-eps verdicts on {n : |values[n-1] - candidate| >= threshold}."""
     deviations = np.abs(values - candidate)
-    per_epsilon = []
-    for eps, threshold in zip(eps_grid, thresholds):
-        cert = certificate(eps) if certificate is not None else None
-        verdict = decide_membership(ideal, exceptional_set(deviations, threshold), cert)
-        per_epsilon.append((eps, verdict))
+    per_epsilon = [
+        (eps, decide_membership(ideal, exceptional_set(deviations, threshold), cert))
+        for eps, threshold, cert in zip(eps_grid, thresholds, certs)
+    ]
     overall = _conjoin([_VERDICT_OF_STATUS[v.status] for _, v in per_epsilon])
     return ScalarLimitReport(float(candidate), tuple(per_epsilon), overall)
 
@@ -248,7 +271,8 @@ def scalar_i_limit(
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
         raise RuleEvaluationError(bad, "rule produced a non-finite value")
-    return _limit_from_values(values, candidate, ideal, grid, grid, x.exceptional_certificate)
+    certs = _certificates(x.exceptional_certificate, grid)
+    return _limit_from_values(values, candidate, ideal, grid, grid, certs)
 
 
 # --------------------------------------------------------------------------
@@ -355,32 +379,45 @@ CRITERION_NAMES = tuple(row[0] for row in _CRITERIA)
 _SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, _eps_threshold)
 
 
-def _criterion(
-    row: tuple, traces: CriterionTraces, ideal: Ideal, eps_grid: tuple[float, ...], certificate
-) -> CriterionReport:
-    """One table row judged on each column of its trace, conjoined."""
-    name, column, candidate, threshold = row
-    columns = getattr(traces, column).reshape(traces.horizon, -1)
-    thresholds = tuple(threshold(eps) for eps in eps_grid)
-    reps = tuple(
-        _limit_from_values(columns[:, i], candidate, ideal, eps_grid, thresholds, certificate)
-        for i in range(columns.shape[1])
-    )
-    return CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]), thresholds)
+def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
+    """Table rows judged on the traces, the one path behind every checker.
 
-
-def _traces_for(
-    seq: SubspaceSequence, V: Subspace, horizon: int, traces: Optional[CriterionTraces]
-) -> CriterionTraces:
-    """The given traces after checking they fit, or a fresh trace pass."""
+    Each row is judged on every column of its trace and conjoined. Rows that
+    share a column, candidate and threshold share one report, renamed per row.
+    """
+    grid = _validate_eps_grid(eps_grid)
     if traces is None:
-        return criterion_traces(seq, V, horizon)
-    if traces.horizon != horizon or traces.k != seq.k:
+        traces = criterion_traces(seq, V, horizon)
+    elif traces.horizon != horizon or traces.k != seq.k:
         raise ValueError(
             f"precomputed traces cover horizon {traces.horizon} with k={traces.k}; "
             f"expected horizon {horizon} with k={seq.k}"
         )
-    return traces
+    # Each basis vector of U_n is a unit vector of U_n, so its residual is
+    # at most the gap, and every criterion's exceptional set at eps is the
+    # residual's; a certificate for the gap's exceptional sets therefore
+    # covers the exceptional sets of every criterion at the same eps.
+    certs = _certificates(seq.exceptional_certificate, grid)
+    judged: dict[tuple, CriterionReport] = {}
+    for name, column, candidate, threshold in rows:
+        if (column, candidate, threshold) in judged:
+            continue
+        thresholds = tuple(threshold(eps) for eps in grid)
+        reps = tuple(
+            _limit_from_values(values, candidate, ideal, grid, thresholds, certs)
+            for values in getattr(traces, column).reshape(horizon, -1).T
+        )
+        overall = _conjoin([r.overall for r in reps])
+        judged[column, candidate, threshold] = CriterionReport(
+            name, candidate, reps, overall, thresholds
+        )
+    criteria = tuple(replace(judged[row[1:]], name=row[0]) for row in rows)
+    evidence = {
+        "sequence": seq.description,
+        "gap_max": float(traces.gap.max()),
+        "gap_final": float(traces.gap[-1]),
+    }
+    return ConvergenceReport(ideal, horizon, grid, criteria, criteria[0].overall, evidence)
 
 
 def subspace_i_converges(
@@ -396,15 +433,7 @@ def subspace_i_converges(
     Pass precomputed ``traces`` to reuse their gap column instead of
     evaluating the sequence again.
     """
-    grid = _validate_eps_grid(eps_grid)
-    traces = _traces_for(seq, V, horizon, traces)
-    crit = _criterion(_CRITERIA[0], traces, ideal, grid, seq.exceptional_certificate)
-    evidence = {
-        "sequence": seq.description,
-        "gap_max": float(traces.gap.max()),
-        "gap_final": float(traces.gap[-1]),
-    }
-    return ConvergenceReport(ideal, horizon, grid, (crit,), crit.overall, evidence)
+    return _judge(_CRITERIA[:1], seq, V, ideal, eps_grid, horizon, traces)
 
 
 def usual_converges(
@@ -442,24 +471,7 @@ def equivalence_suite(
     residual's (see ``CriterionReport.thresholds``). Pass precomputed
     ``traces`` to amortize evaluation across several ideals.
     """
-    grid = _validate_eps_grid(eps_grid)
-    traces = _traces_for(seq, V, horizon, traces)
-    # Each basis vector of U_n is a unit vector of U_n, so its residual is
-    # at most the gap, and every criterion's exceptional set at eps is the
-    # residual's; a certificate for the gap's exceptional sets therefore
-    # covers the exceptional sets of every criterion at the same eps.
-    # rows that share a column and threshold share one judged report
-    judged: dict[tuple, CriterionReport] = {}
-    for row in _CRITERIA:
-        if row[1:] not in judged:
-            judged[row[1:]] = _criterion(row, traces, ideal, grid, seq.exceptional_certificate)
-    criteria = tuple(replace(judged[row[1:]], name=row[0]) for row in _CRITERIA)
-    evidence = {
-        "sequence": seq.description,
-        "gap_max": float(traces.gap.max()),
-        "gap_final": float(traces.gap[-1]),
-    }
-    return ConvergenceReport(ideal, horizon, grid, criteria, criteria[0].overall, evidence)
+    return _judge(_CRITERIA, seq, V, ideal, eps_grid, horizon, traces)
 
 
 @dataclass(frozen=True)
@@ -488,11 +500,9 @@ def self_projection_volume_check(
     traces: Optional[CriterionTraces] = None,
 ) -> VolumeCheckReport:
     """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0."""
-    grid = _validate_eps_grid(eps_grid)
-    traces = _traces_for(seq, V, horizon, traces)
-    cert = seq.exceptional_certificate
-    volume = _criterion(_SELF_VOLUME, traces, ideal, grid, cert)
-    subspace_overall = _criterion(_CRITERIA[0], traces, ideal, grid, cert).overall
+    rows = (_SELF_VOLUME, _CRITERIA[0])
+    volume, gap = _judge(rows, seq, V, ideal, eps_grid, horizon, traces).criteria
+    subspace_overall = gap.overall
     implication_holds = not (
         subspace_overall is Verdict.CONVERGES and volume.overall is not Verdict.CONVERGES
     )

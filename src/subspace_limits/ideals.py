@@ -33,7 +33,9 @@ DYADIC_CHECKPOINTS = 5         # partial densities at horizon / 2^i, i = 0..4
 
 
 class CertificateError(ValueError):
-    """A tail certificate contradicts the enumerated members."""
+    """A tail certificate contradicts the enumerated members, or a
+    sequence's certificate function raised or returned a non-certificate.
+    """
 
 
 def block_index(n: int) -> int:
@@ -328,16 +330,10 @@ def density_estimate(P: IndexSet) -> DensityEstimate:
 # Membership decisions
 
 
-def _dyadic_windows(horizon: int) -> list[tuple[int, int]]:
-    """Consecutive index windows (lo, hi] ending at the dyadic checkpoints."""
-    js = _dyadic_checkpoints(horizon)
-    return list(zip([0] + js, js))
-
-
-def _members_in_every_window(P: IndexSet) -> bool:
-    return all(
-        P.count_up_to(hi) - P.count_up_to(lo) > 0 for lo, hi in _dyadic_windows(P.horizon)
-    )
+def _in_every_window(values, horizon: int) -> bool:
+    """Whether sorted naturals meet every window (lo, hi] cut at 0 and the dyadic checkpoints."""
+    counts = np.searchsorted(values, [0, *_dyadic_checkpoints(horizon)], side="right")
+    return bool(np.all(np.diff(counts) > 0))
 
 
 def _block_first_occurrences(P: IndexSet) -> list[int]:
@@ -388,7 +384,7 @@ def decide_membership(
         evidence = {**base_evidence, "last_member": last, "window": window}
         if last <= P.horizon - window:
             return IdealVerdict(Status.IN_IDEAL, Mode.EMPIRICAL, evidence)
-        if _members_in_every_window(P):
+        if _in_every_window(P.members, P.horizon):
             evidence["note"] = "members keep appearing at every dyadic checkpoint"
             return IdealVerdict(Status.NOT_IN_IDEAL, Mode.EMPIRICAL, evidence)
         return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
@@ -433,8 +429,7 @@ def decide_membership(
     # exponential schedule and may still look quiet near the horizon. A new
     # block inside every dyadic window is that signature and overrides the
     # trailing-window stabilization test.
-    windows = _dyadic_windows(P.horizon)
-    if events and all(any(lo < e <= hi for e in events) for lo, hi in windows):
+    if _in_every_window(events, P.horizon):
         evidence["note"] = "new block indices keep appearing at every dyadic checkpoint"
         return IdealVerdict(Status.NOT_IN_IDEAL, Mode.EMPIRICAL, evidence)
     if last_new <= P.horizon - window:

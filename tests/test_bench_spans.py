@@ -62,6 +62,8 @@ def test_instrument_wraps_and_restores_library(tmp_path):
     # analyze feeds its verdict from the one trace pass it writes out
     assert metrics["convergence.rule_evals_per_index"] == 1.0
     assert metrics["convergence.gap_trace.s"] == 0.0
+    # one column judged at two eps, each decided once
+    assert metrics["ideals.decide_membership.calls"] == 2
     assert metrics["ideals.validate_certificate.calls"] == 2
 
 

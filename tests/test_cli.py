@@ -210,6 +210,12 @@ PARITY_CONFIG = {
     "horizon": 500,
     "eps_grid": [0.5, 0.1],
 }
+PROFILE = {"kind": "power_decay", "scale": 0.5, "exponent": 2.0}
+ROTATING_PARAMS = {"ambient_dim": 4, "k": 1, "profile": PROFILE}
+
+
+def rotating(**params):
+    return {"sequence": {"family": "rotating", "params": {**ROTATING_PARAMS, **params}}}
 
 
 @pytest.mark.parametrize(
@@ -250,6 +256,13 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
             ["orthogonal-constant", "--variant", "printed"],
             "sequence.variant",
         ),
+        ({"ideal": {"tau": 0.2}}, None, "ideal.kind"),
+        # an unknown key at any level is an error, never a silent default
+        ({"sequence": {"builtin": "parity-split", "varient": "printed"}}, None, "sequence.varient"),
+        ({"ideal": {"kind": "density", "tua": 0.2}}, None, "ideal.tua"),
+        (rotating(sed=3), None, "sequence.params.sed"),
+        (rotating(profile={**PROFILE, "exponant": 3.0}), None, "sequence.params.profile.exponant"),
+        (rotating(profile=[0.5]), None, "sequence.params.profile"),
     ],
     ids=[
         "kind-unknown",
@@ -258,6 +271,12 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "builtin-unknown",
         "variant-unknown",
         "variant-not-taken",
+        "kind-missing",
+        "sequence-key-unknown",
+        "ideal-key-unknown",
+        "params-key-unknown",
+        "profile-key-unknown",
+        "profile-not-an-object",
     ],
 )
 def test_bad_values_name_their_field(tmp_path, capsys, change, flags, field):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from battery import BATTERY_IDEALS, build_battery, make_member, power_profile
 from subspace_limits import (
     CRITERION_NAMES,
+    CertificateError,
     EmptyTail,
     Ideal,
     RuleEvaluationError,
@@ -534,9 +535,10 @@ def test_sequence_probe_failure_is_a_rule_error():
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
 
 
-@pytest.mark.parametrize(
-    "checker", [subspace_i_converges, equivalence_suite, self_projection_volume_check]
-)
+CHECKERS = [subspace_i_converges, equivalence_suite, self_projection_volume_check]
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
 def test_checkers_reject_traces_of_another_horizon(checker):
     seq, V = constant_orthogonal_example()
     traces = criterion_traces(seq, V, 50)
@@ -568,3 +570,55 @@ def test_rule_returning_wrong_shape_is_reported():
     with pytest.raises(RuleEvaluationError) as excinfo:
         gap_trace(seq, V2, 10)
     assert excinfo.value.index == 6
+
+
+# ---------------------------------------------------------------------------
+# certificate functions
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checkers_read_the_certificate_once_per_eps(checker):
+    # k=2 and four distinct columns in the suite: one read per (vector,
+    # column, eps) would be 21 calls, where the 3 eps carry the information
+    member = next(m for m in build_battery() if m.name == "conv-cubic-4d-k2")
+    calls = []
+
+    def counting(eps):
+        calls.append(eps)
+        return member.seq.exceptional_certificate(eps)
+
+    seq = dataclasses.replace(member.seq, exceptional_certificate=counting)
+    checker(seq, member.limit, Ideal.density(), (0.5, 0.1, 0.01), 200)
+    assert calls == [0.5, 0.1, 0.01]
+
+
+def _judge_with_certificate(checker, certificate):
+    if checker is scalar_i_limit:
+        x = ScalarSequence(lambda n: 1.0 / n, certificate)
+        return scalar_i_limit(x, 0.0, Ideal.blocks(), eps_grid=(0.5, 0.1), horizon=50)
+    seq, V, ideal = parity_split_example("amended")
+    seq = dataclasses.replace(seq, exceptional_certificate=certificate)
+    return checker(seq, V, ideal, eps_grid=(0.5, 0.1), horizon=50)
+
+
+@pytest.mark.parametrize("checker", CHECKERS + [scalar_i_limit])
+@pytest.mark.parametrize(
+    "certificate, cause",
+    [
+        (lambda eps: EmptyTail(math.ceil(1 / (eps - 0.5))), ZeroDivisionError),
+        (lambda eps: "blocks", TypeError),
+        (lambda eps: SubsetOfUnion((EmptyTail(3), "blocks")), TypeError),
+    ],
+    ids=["raises", "not-a-certificate", "not-a-certificate-part"],
+)
+def test_bad_certificate_functions_raise_certificate_errors(checker, certificate, cause):
+    with pytest.raises(CertificateError, match="at eps=0.5") as excinfo:
+        _judge_with_certificate(checker, certificate)
+    assert isinstance(excinfo.value.__cause__, cause)
+
+
+@pytest.mark.parametrize("checker", CHECKERS + [scalar_i_limit])
+def test_no_certificate_at_an_eps_is_judged_without_one(checker):
+    assert _judge_with_certificate(checker, lambda eps: None) == (
+        _judge_with_certificate(checker, None)
+    )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_limits import (
     CertificateError,
@@ -19,7 +21,12 @@ from subspace_limits import (
     filter_contains,
     partial_density,
 )
-from subspace_limits.ideals import _block_first_occurrences, block_indices
+from subspace_limits.ideals import (
+    _block_first_occurrences,
+    _dyadic_checkpoints,
+    _in_every_window,
+    block_indices,
+)
 
 
 def dyadic_block(j, horizon):
@@ -88,6 +95,33 @@ def test_block_first_occurrences_match_loop():
                 seen.add(block_index(int(m)))
                 want.append(int(m))
         assert _block_first_occurrences(P) == want
+
+
+def _windows(horizon):
+    """Reference list of the windows (lo, hi] cut at 0 and the dyadic checkpoints."""
+    js = _dyadic_checkpoints(horizon)
+    return list(zip([0] + js, js))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    horizon=st.integers(1, 300),
+    stride=st.integers(1, 40),
+    start=st.integers(1, 40),
+    extra=st.sets(st.integers(1, 300), max_size=20),
+)
+def test_in_every_window_matches_the_window_loops(horizon, stride, start, extra):
+    members = set(range(start, horizon + 1, stride)) | {e for e in extra if e <= horizon}
+    P = IndexSet(horizon, sorted(members))
+    # the finite ideal's rule: members in every window
+    want = all(P.count_up_to(hi) - P.count_up_to(lo) > 0 for lo, hi in _windows(horizon))
+    assert _in_every_window(P.members, horizon) == want
+    # the block ideal's rule: a first occurrence of a block in every window
+    events = _block_first_occurrences(P)
+    want = bool(events) and all(
+        any(lo < e <= hi for e in events) for lo, hi in _windows(horizon)
+    )
+    assert _in_every_window(events, horizon) == want
 
 
 # ---------------------------------------------------------------------------
