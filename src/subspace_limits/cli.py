@@ -142,7 +142,7 @@ _PROFILE_KEYS = {
 
 
 def _sine_profile(profile: dict, k: int):
-    """Compile a profile spec into a function n -> per-vector sines."""
+    """Compile a profile spec into a function ns (m,) -> per-vector sines (m, k)."""
     field = "sequence.params.profile"
     kind = profile.get("kind") if isinstance(profile, dict) else None
     # an unknown kind is reported below, before any of its keys
@@ -158,22 +158,23 @@ def _sine_profile(profile: dict, k: int):
             raise ConfigError(f"{field}.{name}", "sine magnitudes must lie in [0, 1]")
         return arr
 
+    def decay(scale, exponent):
+        a = per_vector(profile.get(scale, 1.0), scale)
+        p = float(profile.get(exponent, 1.0))
+        if p <= 0:
+            raise ConfigError(f"{field}.{exponent}", "must be positive")
+        # n ** p in Python floats: numpy's array power can differ in the last ulp
+        return lambda ns: np.minimum(1.0, a / np.array([n**p for n in ns.tolist()])[:, None])
+
     if kind == "constant":
         g = per_vector(profile.get("value", 0.0), "value")
-        return lambda n: g
+        return lambda ns: np.broadcast_to(g, (len(ns), k))
     if kind == "power_decay":
-        a = per_vector(profile.get("scale", 1.0), "scale")
-        p = float(profile.get("exponent", 1.0))
-        if p <= 0:
-            raise ConfigError(f"{field}.exponent", "must be positive")
-        return lambda n: np.minimum(1.0, a / n**p)
+        return decay("scale", "exponent")
     if kind == "parity":
         g = per_vector(profile.get("odd_value", 1.0), "odd_value")
-        a = per_vector(profile.get("even_scale", 1.0), "even_scale")
-        p = float(profile.get("even_exponent", 1.0))
-        if p <= 0:
-            raise ConfigError(f"{field}.even_exponent", "must be positive")
-        return lambda n: g if n % 2 == 1 else np.minimum(1.0, a / n**p)
+        even = decay("even_scale", "even_exponent")
+        return lambda ns: np.where((ns % 2 == 1)[:, None], g, even(ns))
     raise ConfigError(
         f"{field}.kind", f"unknown profile kind {kind!r}; "
         "expected 'constant', 'power_decay' or 'parity'"
@@ -221,15 +222,14 @@ def rotating_family(
     companions = frame[k : 2 * k]
     sines = _sine_profile(profile, k)
 
-    def rule(n: int) -> Subspace:
-        s = sines(n)
-        c = np.sqrt(1.0 - s * s)
-        return Subspace(c[:, None] * V.basis + s[:, None] * companions)
+    def batch_rule(ns: np.ndarray) -> np.ndarray:
+        s = sines(ns)[..., None]
+        return np.sqrt(1.0 - s * s) * V.basis + s * companions
 
     seq = SubspaceSequence(
         ambient_dim=ambient_dim,
         k=k,
-        rule=rule,
+        batch_rule=batch_rule,
         description=f"rotating family (k={k}, d={ambient_dim}, seed={seed}, "
         f"profile={profile.get('kind')})",
     )
@@ -318,6 +318,8 @@ def build_experiment(cfg: ExperimentConfig):
     """Materialize (sequence, candidate limit, ideal) from a validated config."""
     with _config_field("ideal.kind"):
         kind = IdealKind(cfg.ideal["kind"])
+    if "tau" in cfg.ideal and kind is not IdealKind.DENSITY:
+        raise ConfigError("ideal.tau", f"applies to the density ideal only, not {kind.value!r}")
     with _config_field("ideal.tau"):
         ideal = Ideal(kind, cfg.ideal.get("tau", DEFAULT_TAU))
     limit_rows = None
@@ -357,24 +359,18 @@ def build_experiment(cfg: ExperimentConfig):
 # Output files
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
     """Per-index worst-case trace of all criteria, byte stable across runs."""
-    columns = np.column_stack([
-        traces.gap,
-        traces.residual.max(axis=1),
-        traces.coefficient_mass.min(axis=1),
-        traces.projection_norm.min(axis=1),
-    ])
-    lines = [TRACE_HEADER]
-    for n, row in enumerate(columns.tolist(), 1):
-        cells = [_fmt(x) for x in row]
-        # crit5_max_i, the joint volume, is the residual column itself
-        lines.append(",".join([str(n), *cells, cells[1]]))
-    path.write_text("\n".join(lines) + "\n")
+    residual = traces.residual.max(axis=1).tolist()
+    rows = map("%d,%.17g,%.17g,%.17g,%.17g,%.17g".__mod__, zip(
+        range(1, traces.horizon + 1),
+        traces.gap.tolist(),
+        residual,
+        traces.coefficient_mass.min(axis=1).tolist(),
+        traces.projection_norm.min(axis=1).tolist(),
+        residual,  # crit5_max_i, the joint volume, is the residual column itself
+    ))
+    path.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
 def _scalar_limit_to_dict(rep: ScalarLimitReport) -> dict:

@@ -77,6 +77,8 @@ class RuleEvaluationError(RuntimeError):
 class SubspaceSequence:
     """A deterministic rule n -> Subspace with fixed per-n bases.
 
+    ``batch_rule`` maps indices ns (m,) to bases (m, k, d), checked per trace
+    chunk as ``Subspace`` checks one; without ``rule``, ``rule(n)`` comes from it.
     ``exceptional_certificate`` optionally maps eps to a tail certificate
     for the set {n : gap(U_n, V) >= eps} against the sequence's intended
     limit, or to None where it has none; it is what makes exact
@@ -85,11 +87,15 @@ class SubspaceSequence:
 
     ambient_dim: int
     k: int
-    rule: Callable[[int], Subspace]
+    rule: Optional[Callable[[int], Subspace]] = None
     exceptional_certificate: Optional[Callable[[float], TailCertificate]] = None
     description: str = ""
+    batch_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        if self.rule is None:
+            batch_rule = self.batch_rule
+            object.__setattr__(self, "rule", lambda n: Subspace(batch_rule(np.array([n]))[0]))
         probe = _call_rule(self.rule, 1)
         if not isinstance(probe, Subspace):
             raise ValueError(f"rule(1) returned {probe!r}, expected a Subspace")
@@ -116,13 +122,11 @@ def _call_rule(rule, n: int):
         raise RuleEvaluationError(n, str(exc)) from exc
 
 
-def _eval_rule(seq: SubspaceSequence, n: int) -> Subspace:
+def _checked_basis(seq: SubspaceSequence, n: int) -> np.ndarray:
     U = _call_rule(seq.rule, n)
-    if not isinstance(U, Subspace) or U.basis.shape != (seq.k, seq.ambient_dim):
-        raise RuleEvaluationError(
-            n, f"rule returned {U!r}, expected k={seq.k}, d={seq.ambient_dim}"
-        )
-    return U
+    if isinstance(U, Subspace) and U.basis.shape == (seq.k, seq.ambient_dim):
+        return U.basis
+    raise RuleEvaluationError(n, f"rule returned {U!r}, expected k={seq.k}, d={seq.ambient_dim}")
 
 
 def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[int, float]]:
@@ -319,15 +323,27 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
         )
     k, d = seq.k, seq.ambient_dim
     B = V.basis
+    # a sequence given per index is stacked per chunk, then checked like any other
+    batch_rule = seq.batch_rule or (lambda ns: [_checked_basis(seq, n) for n in ns.tolist()])
     gap = np.empty(horizon)
     residual, coefficient_mass, projection_norm = (np.empty((horizon, k)) for _ in range(3))
     chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * d)))
-    buf = np.empty((chunk, k, d))
     for lo in range(0, horizon, chunk):
-        A = buf[: min(chunk, horizon - lo)]
-        for j in range(A.shape[0]):
-            A[j] = _eval_rule(seq, lo + j + 1).basis
-        rows = slice(lo, lo + A.shape[0])
+        ns = np.arange(lo + 1, min(lo + chunk, horizon) + 1)
+        try:
+            A = np.ascontiguousarray(batch_rule(ns), dtype=float)
+        except RuleEvaluationError:
+            raise
+        except Exception as exc:
+            raise RuleEvaluationError(lo + 1, str(exc)) from exc
+        if A.shape != (len(ns), k, d):
+            raise RuleEvaluationError(
+                lo + 1, f"batch rule returned shape {A.shape}, expected {(len(ns), k, d)}"
+            )
+        bad = linalg.first_non_orthonormal(A)
+        if bad is not None:
+            raise RuleEvaluationError(lo + 1 + bad[0], bad[1])
+        rows = slice(lo, lo + len(ns))
         C, R = linalg.cross_residual(A, B)
         gap[rows] = linalg.residual_gap(R)
         residual[rows] = np.linalg.norm(R, axis=-1)
@@ -540,16 +556,15 @@ def parity_split_example(variant: str = "amended"):
     if variant not in ("printed", "amended"):
         raise ValueError(f"variant must be 'printed' or 'amended', got {variant!r}")
     V = Subspace(np.array([[0.0, 1.0, 0.0]]))
-    odd_line = Subspace(np.array([[0.0, 0.0, 1.0]]))
 
-    def rule(n: int) -> Subspace:
-        if n % 2 == 1:
-            return odd_line
-        s = math.sin(n)
-        raw = np.array([s / n, 1.0, 0.0]) if variant == "amended" else np.array(
-            [s / n, 1.0 / n, 0.0]
-        )
-        return Subspace((raw / np.linalg.norm(raw))[None, :])
+    def batch_rule(ns: np.ndarray) -> np.ndarray:
+        raw = np.zeros((len(ns), 1, 3))
+        raw[:, 0, 0] = np.sin(ns) / ns
+        raw[:, 0, 1] = 1.0 if variant == "amended" else 1.0 / ns
+        # a stacked dot matches the 1-d np.linalg.norm bit for bit; norm(axis=-1) does not
+        bases = raw / np.sqrt(raw @ raw.swapaxes(1, 2))
+        bases[ns % 2 == 1] = [[0.0, 0.0, 1.0]]
+        return bases
 
     certificate = None
     if variant == "amended":
@@ -563,7 +578,7 @@ def parity_split_example(variant: str = "amended"):
     seq = SubspaceSequence(
         ambient_dim=3,
         k=1,
-        rule=rule,
+        batch_rule=batch_rule,
         exceptional_certificate=certificate,
         description=f"parity-split line in R^3 ({variant} variant)",
     )
@@ -579,12 +594,11 @@ def constant_orthogonal_example():
     standard witness that the volume check is one-directional. Returns
     (sequence, candidate limit).
     """
-    line = Subspace(np.array([[1.0, 0.0]]))
     V = Subspace(np.array([[0.0, 1.0]]))
     seq = SubspaceSequence(
         ambient_dim=2,
         k=1,
-        rule=lambda n: line,
+        batch_rule=lambda ns: np.broadcast_to([[1.0, 0.0]], (len(ns), 1, 2)),
         description="constant line span{e1} in R^2",
     )
     return seq, V

@@ -4,8 +4,8 @@ Everything here works on plain float vectors and on `Subspace` objects,
 which store an orthonormal basis as rows of a read-only array. The module
 provides inner products, orthonormalization, orthogonal projection,
 point-to-subspace distance, the gap metric (from an SVD) and the joint
-norm (a QR volume) of a vector family; only the gap kernels also take
-stacks of bases. All functions are pure and safe to share across threads.
+norm (a QR volume) of a vector family; the gap and orthonormality kernels
+also take stacks of bases. All functions are pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -74,17 +74,9 @@ class Subspace:
         k, d = b.shape
         if not 1 <= k <= d:
             raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-        # G - I from one Gram product; non-finite or huge entries make dev non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = b @ b.T
-        g.ravel()[:: k + 1] -= 1.0
-        dev = float(np.abs(g).max())
-        if not dev <= TOL_ORTHO:
-            if not np.all(np.isfinite(b)):
-                raise ValueError("basis has non-finite entries")
-            raise ValueError(
-                f"basis rows are not orthonormal (max |B B^T - I| entry = {dev:.3e})"
-            )
+        bad = first_non_orthonormal(b[None])
+        if bad is not None:
+            raise ValueError(bad[1])
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -102,6 +94,19 @@ class Subspace:
 
     def __repr__(self) -> str:  # keep reprs short; bases can be large
         return f"Subspace(k={self.k}, ambient_dim={self.ambient_dim})"
+
+
+def first_non_orthonormal(bases: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first basis in a stack (m, k, d) failing ``TOL_ORTHO``, or None."""
+    # G - I from one Gram product each; non-finite or huge entries make dev non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(bases @ bases.swapaxes(-1, -2) - np.eye(bases.shape[-2])).max(axis=(1, 2))
+    i = int(np.argmin(dev <= TOL_ORTHO))  # the first failing basis, or 0 if none fails
+    if dev[i] <= TOL_ORTHO:
+        return None
+    if not np.all(np.isfinite(bases[i])):
+        return i, "basis has non-finite entries"
+    return i, f"basis rows are not orthonormal (max |B B^T - I| entry = {dev[i]:.3e})"
 
 
 def inner(u, v) -> float:

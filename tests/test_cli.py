@@ -263,6 +263,17 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         (rotating(sed=3), None, "sequence.params.sed"),
         (rotating(profile={**PROFILE, "exponant": 3.0}), None, "sequence.params.profile.exponant"),
         (rotating(profile=[0.5]), None, "sequence.params.profile"),
+        # tau changes only the density ideal's verdicts
+        (
+            {"ideal": {"kind": "blocks", "tau": 0.2}},
+            ["parity-split", "--ideal", "blocks", "--tau", "0.2"],
+            "ideal.tau",
+        ),
+        (
+            {"ideal": {"kind": "finite", "tau": 0.01}},
+            ["parity-split", "--ideal", "finite", "--tau", "0.01"],
+            "ideal.tau",
+        ),
     ],
     ids=[
         "kind-unknown",
@@ -277,6 +288,8 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "params-key-unknown",
         "profile-key-unknown",
         "profile-not-an-object",
+        "tau-with-blocks",
+        "tau-with-finite",
     ],
 )
 def test_bad_values_name_their_field(tmp_path, capsys, change, flags, field):

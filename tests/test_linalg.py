@@ -22,7 +22,7 @@ from subspace_limits import (
     project,
     projection_norm_sq,
 )
-from subspace_limits.linalg import TOL_ORTHO
+from subspace_limits.linalg import TOL_ORTHO, first_non_orthonormal
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -192,6 +192,37 @@ def test_subspace_accepts_what_the_old_check_accepts(seed, k, extra, exponent):
     except ValueError as exc:
         error = str(exc)
     assert error == old_orthonormality_error(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.lists(st.floats(9.0, 11.0), min_size=1, max_size=12),
+    st.integers(0, 12),
+)
+def test_stack_check_accepts_what_subspace_accepts(seed, k, extra, exponents, nan_at):
+    # Subspace and the trace pass share one kernel: on a stack of bases
+    # straddling TOL_ORTHO it names the first basis Subspace rejects, with
+    # Subspace's message
+    rng = np.random.default_rng(seed)
+    stack = np.stack([
+        random_orthogonal(rng, k + extra)[:k] + 10.0**-e * rng.uniform(-1.0, 1.0, (k, k + extra))
+        for e in exponents
+    ])
+    if nan_at < len(stack):
+        stack[nan_at, -1, 0] = np.nan
+    errors = []
+    for b in stack:
+        try:
+            Subspace(b)
+        except ValueError as exc:
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    expected = next(((i, e) for i, e in enumerate(errors) if e is not None), None)
+    assert first_non_orthonormal(stack) == expected
 
 
 def test_subspace_basis_read_only():
