@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,8 +78,9 @@ class RuleEvaluationError(RuntimeError):
 class SubspaceSequence:
     """A deterministic rule n -> Subspace with fixed per-n bases.
 
-    ``batch_rule`` maps indices ns (m,) to bases (m, k, d), checked per trace
-    chunk as ``Subspace`` checks one; without ``rule``, ``rule(n)`` comes from it.
+    Give exactly one of ``rule`` and ``batch_rule``. ``batch_rule`` maps indices
+    ns (m,) to bases (m, k, d), checked per trace chunk as ``Subspace`` checks
+    one, and ``rule(n)`` is derived from it.
     ``exceptional_certificate`` optionally maps eps to a tail certificate
     for the set {n : gap(U_n, V) >= eps} against the sequence's intended
     limit, or to None where it has none; it is what makes exact
@@ -93,9 +95,11 @@ class SubspaceSequence:
     batch_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.rule is None:
-            batch_rule = self.batch_rule
-            object.__setattr__(self, "rule", lambda n: Subspace(batch_rule(np.array([n]))[0]))
+        derived = isinstance(self.rule, partial) and self.rule.func is _batch_rule_at
+        if (self.rule is not None and not derived) == (self.batch_rule is not None):
+            raise ValueError("a sequence takes exactly one of rule and batch_rule")
+        if self.batch_rule is not None:  # derived anew: replace() copies the old derived rule
+            object.__setattr__(self, "rule", partial(_batch_rule_at, self.batch_rule))
         probe = _call_rule(self.rule, 1)
         if not isinstance(probe, Subspace):
             raise ValueError(f"rule(1) returned {probe!r}, expected a Subspace")
@@ -115,11 +119,17 @@ class ScalarSequence:
     description: str = ""
 
 
-def _call_rule(rule, n: int):
+def _batch_rule_at(batch_rule, n: int) -> Subspace:
+    return Subspace(batch_rule(np.array([n]))[0])
+
+
+def _call_rule(rule, arg, index=None):
     try:
-        return rule(n)
+        return rule(arg)
+    except RuleEvaluationError:
+        raise
     except Exception as exc:
-        raise RuleEvaluationError(n, str(exc)) from exc
+        raise RuleEvaluationError(arg if index is None else index, str(exc)) from exc
 
 
 def _checked_basis(seq: SubspaceSequence, n: int) -> np.ndarray:
@@ -324,18 +334,13 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
     k, d = seq.k, seq.ambient_dim
     B = V.basis
     # a sequence given per index is stacked per chunk, then checked like any other
-    batch_rule = seq.batch_rule or (lambda ns: [_checked_basis(seq, n) for n in ns.tolist()])
+    rule = seq.batch_rule or (lambda ns: [_checked_basis(seq, n) for n in ns.tolist()])
     gap = np.empty(horizon)
     residual, coefficient_mass, projection_norm = (np.empty((horizon, k)) for _ in range(3))
     chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * d)))
     for lo in range(0, horizon, chunk):
         ns = np.arange(lo + 1, min(lo + chunk, horizon) + 1)
-        try:
-            A = np.ascontiguousarray(batch_rule(ns), dtype=float)
-        except RuleEvaluationError:
-            raise
-        except Exception as exc:
-            raise RuleEvaluationError(lo + 1, str(exc)) from exc
+        A = _call_rule(lambda ns: np.ascontiguousarray(rule(ns), dtype=float), ns, lo + 1)
         if A.shape != (len(ns), k, d):
             raise RuleEvaluationError(
                 lo + 1, f"batch rule returned shape {A.shape}, expected {(len(ns), k, d)}"
@@ -559,7 +564,7 @@ def parity_split_example(variant: str = "amended"):
 
     def batch_rule(ns: np.ndarray) -> np.ndarray:
         raw = np.zeros((len(ns), 1, 3))
-        raw[:, 0, 0] = np.sin(ns) / ns
+        raw[:, 0, 0] = [math.sin(n) / n for n in ns.tolist()]  # libm's sin, as per index
         raw[:, 0, 1] = 1.0 if variant == "amended" else 1.0 / ns
         # a stacked dot matches the 1-d np.linalg.norm bit for bit; norm(axis=-1) does not
         bases = raw / np.sqrt(raw @ raw.swapaxes(1, 2))

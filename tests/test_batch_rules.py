@@ -19,7 +19,7 @@ from subspace_limits import (
 from subspace_limits import cli, convergence
 from subspace_limits.cli import rotating_family
 
-INDICES = st.lists(st.integers(1, 10**4), min_size=1, max_size=40).map(np.array)
+INDICES = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(np.array)
 
 
 def assert_same_bits(actual, expected):
@@ -193,10 +193,28 @@ def test_batch_rule_failure_is_a_rule_error(monkeypatch):
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
 
 
-def test_sequence_without_any_rule_is_a_rule_error():
-    with pytest.raises(RuleEvaluationError) as excinfo:
-        SubspaceSequence(2, 1)
-    assert excinfo.value.index == 1
+def test_sequence_takes_exactly_one_rule():
+    lines = line_sequence({})
+    per_index = SubspaceSequence(2, 1, rule=lambda n: Subspace(np.array([[1.0, 0.0]])))
+    for make in [
+        lambda: SubspaceSequence(2, 1),
+        lambda: SubspaceSequence(2, 1, rule=per_index.rule, batch_rule=lines.batch_rule),
+        lambda: dataclasses.replace(per_index, batch_rule=lines.batch_rule),
+        lambda: dataclasses.replace(lines, batch_rule=None),
+    ]:
+        with pytest.raises(ValueError, match="exactly one of rule and batch_rule"):
+            make()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_replaced_batch_rule_gives_the_per_index_rule(n):
+    amended, V, _ = parity_split_example("amended")
+    printed, _, _ = parity_split_example("printed")
+    seq = dataclasses.replace(amended, batch_rule=printed.batch_rule)
+    assert_same_bits(seq.rule(n).basis, printed.batch_rule(np.array([n]))[0])
+    assert_same_bits(amended.rule(n).basis, amended.batch_rule(np.array([n]))[0])
+    # the trace pass and rule(n) see one sequence
+    assert criterion_traces(seq, V, n).gap[-1] == criterion_traces(printed, V, n).gap[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +226,9 @@ def counting(seq, asked):
         asked.extend(ns.tolist())
         return seq.batch_rule(ns)
 
-    return dataclasses.replace(seq, batch_rule=batch_rule)
+    counted = dataclasses.replace(seq, batch_rule=batch_rule)
+    asked.clear()  # construction probes rule(1); only the evaluations after it count
+    return counted
 
 
 def test_trace_pass_asks_for_each_index_once(monkeypatch):

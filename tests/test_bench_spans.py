@@ -60,7 +60,7 @@ def test_instrument_wraps_and_restores_library(tmp_path):
         assert getattr(owner, attr) is fn, attr
 
     # the built-ins are batch rules, so the per-index rule is never called;
-    # tests/test_convergence.py counts each index's one batch evaluation
+    # tests/test_batch_rules.py counts each index's one batch evaluation
     assert metrics["convergence.rule_evals_per_index"] == 0.0
     assert metrics["convergence.gap_trace.s"] == 0.0
     # one column judged at two eps, each decided once
