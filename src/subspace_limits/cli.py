@@ -212,7 +212,9 @@ def rotating_family(
     if limit_basis is not None:
         limit_rows = np.asarray(limit_basis, dtype=float)
         if limit_rows.shape != (k, ambient_dim):
-            raise ConfigError("limit_basis", f"expected {k} rows of length {ambient_dim}")
+            raise ConfigError(
+                "limit_basis", f"expected {k} rows of length {ambient_dim}"
+            )
     rng = np.random.default_rng(seed)
     randoms = rng.standard_normal((ambient_dim - len(limit_rows), ambient_dim))
     frame = orthonormalize(np.vstack([limit_rows, randoms])).basis
@@ -262,7 +264,9 @@ class ExperimentConfig:
         else:
             _object(self.sequence, "sequence", ("family", "params"))
             if self.sequence["family"] != "rotating":
-                raise ConfigError("sequence.family", "the only parametric family is 'rotating'")
+                raise ConfigError(
+                    "sequence.family", "the only parametric family is 'rotating'"
+                )
             known = ("ambient_dim", "k", "profile", "seed")
             _object(self.sequence.get("params"), "sequence.params", known, known[:3])
         _object(self.ideal, "ideal", ("kind", "tau"), ("kind",))
@@ -538,7 +542,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg, seq, V, ideal, out_dir, traces = _prepare(args)
-    report = equivalence_suite(seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces)
+    report = equivalence_suite(
+        seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces
+    )
     volume = self_projection_volume_check(
         seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces
     )

@@ -78,9 +78,8 @@ class RuleEvaluationError(RuntimeError):
 class SubspaceSequence:
     """A deterministic rule n -> Subspace with fixed per-n bases.
 
-    Give exactly one of ``rule`` and ``batch_rule``. ``batch_rule`` maps indices
-    ns (m,) to bases (m, k, d), checked per trace chunk as ``Subspace`` checks
-    one, and ``rule(n)`` is derived from it.
+    Give ``rule`` or ``batch_rule``, not both. ``batch_rule`` maps ns (m,) to bases
+    (m, k, d), checked per trace chunk as ``Subspace`` checks one; ``rule`` derives from it.
     ``exceptional_certificate`` optionally maps eps to a tail certificate
     for the set {n : gap(U_n, V) >= eps} against the sequence's intended
     limit, or to None where it has none; it is what makes exact
