@@ -154,14 +154,14 @@ def _sine_profile(profile: dict, k: int):
             arr = np.repeat(arr, k)
         if arr.size != k:
             raise ConfigError(f"{field}.{name}", f"expected a scalar or {k} values")
-        if np.any(arr < 0) or np.any(arr > 1):
+        if not np.all((arr >= 0) & (arr <= 1)):
             raise ConfigError(f"{field}.{name}", "sine magnitudes must lie in [0, 1]")
         return arr
 
     def decay(scale, exponent):
         a = per_vector(profile.get(scale, 1.0), scale)
         p = float(profile.get(exponent, 1.0))
-        if p <= 0:
+        if not p > 0:
             raise ConfigError(f"{field}.{exponent}", "must be positive")
         # n ** p in Python floats: numpy's array power can differ in the last ulp
         return lambda ns: np.minimum(1.0, a / np.array([n**p for n in ns.tolist()])[:, None])

@@ -145,8 +145,8 @@ def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[in
 
 def exceptional_set(values: Sequence[float], epsilon: float) -> IndexSet:
     """The indices n with values[n - 1] >= epsilon, for n = 1..len(values)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     v = np.asarray(values, dtype=float)
     return IndexSet(v.size, np.flatnonzero(v >= epsilon) + 1)
 
@@ -220,8 +220,8 @@ def _validate_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(float(e) for e in eps_grid)
     if not grid:
         raise ValueError("eps grid must be non-empty")
-    if any(e <= 0 for e in grid):
-        raise ValueError(f"eps grid must be strictly positive, got {grid}")
+    if not all(0 < e < math.inf for e in grid):
+        raise ValueError(f"eps grid must be finite and strictly positive, got {grid}")
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError(f"eps grid must be strictly decreasing, got {grid}")
     return grid

@@ -3,9 +3,9 @@
 Everything here works on plain float vectors and on `Subspace` objects,
 which store an orthonormal basis as rows of a read-only array. The module
 provides inner products, orthonormalization, orthogonal projection,
-point-to-subspace distance, the gap metric (from an SVD) and the joint
-norm (a QR volume) of a vector family; the gap and orthonormality kernels
-also take stacks of bases. All functions are pure and safe to share across threads.
+point-to-subspace distance, the gap metric (a symmetric eigensolve of the
+residual's Gram) and the joint norm (a QR volume) of a vector family; the
+gap and orthonormality kernels also take stacks of bases. All functions are pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -184,9 +184,15 @@ def cross_residual(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def residual_gap(R: np.ndarray) -> np.ndarray:
     """The gap for each stacked residual R: its largest singular value, at most 1.
 
-    Accurate relative to the gap's own size, down to the round-off in R.
+    Computed as s * sqrt(top eigenvalue of the k x k Gram S S^T), where s is
+    R's largest absolute entry and S = R / s, so no square underflows; the
+    scaled Gram has a diagonal entry >= 1, so that eigenvalue is >= 1. The
+    Gram is formed from R itself, which keeps the result accurate relative
+    to the gap's own size, down to the round-off in R.
     """
-    return np.minimum(1.0, np.linalg.svd(R, compute_uv=False)[..., 0])
+    s = np.abs(R).max(axis=(-2, -1))
+    S = R / np.where(s > 0, s, 1.0)[..., None, None]
+    return np.minimum(1.0, s * np.sqrt(np.linalg.eigvalsh(S @ S.swapaxes(-1, -2))[..., -1]))
 
 
 def gap(U: Subspace, V: Subspace) -> float:
@@ -194,8 +200,8 @@ def gap(U: Subspace, V: Subspace) -> float:
 
     Defined as the supremum of ||u - P_V(u)|| over unit vectors u in U.
     For orthonormal row bases A (for U) and B (for V) this supremum is the
-    largest singular value of the residual R = A - (A B^T) B; see
-    :func:`residual_gap`. The result is always in [0, 1].
+    largest singular value of the residual R = A - (A B^T) B, computed by
+    :func:`residual_gap` from the k x k Gram of R. The result is always in [0, 1].
     """
     if U.ambient_dim != V.ambient_dim:
         raise DimensionMismatchError(

@@ -1,12 +1,13 @@
 """Brute-force reference implementations.
 
-These are deliberately independent of the SVD and QR kernels in
-:mod:`subspace_limits.linalg`: the gap is maximized by sampling the unit
-sphere of coefficient space and evaluating the defining residual norm
-directly, determinants are expanded over permutations, and symmetric
-eigenvalues come from cyclic Jacobi rotations. They exist to cross-check
-the production code and to pin down expected values in tests, so they
-favor transparency over speed and use no randomness at all.
+These are deliberately independent of the LAPACK kernels in
+:mod:`subspace_limits.linalg` (the gap's symmetric eigensolve and the QR
+volume): the gap is maximized by sampling the unit sphere of coefficient
+space and evaluating the defining residual norm directly, determinants are
+expanded over permutations, and symmetric eigenvalues come from cyclic
+Jacobi rotations. They exist to cross-check the production code and to pin
+down expected values in tests, so they favor transparency over speed and
+use no randomness at all.
 """
 
 from __future__ import annotations

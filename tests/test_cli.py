@@ -263,6 +263,24 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         (rotating(sed=3), None, "sequence.params.sed"),
         (rotating(profile={**PROFILE, "exponant": 3.0}), None, "sequence.params.profile.exponant"),
         (rotating(profile=[0.5]), None, "sequence.params.profile"),
+        # NaN passes every `<`/`<=` test; it used to fail later as a rule error (exit 4)
+        (
+            rotating(profile={"kind": "constant", "value": math.nan}),
+            None,
+            "sequence.params.profile.value",
+        ),
+        (
+            rotating(profile={**PROFILE, "exponent": math.nan}),
+            None,
+            "sequence.params.profile.exponent",
+        ),
+        # a NaN eps made every exceptional set empty: `converges`, exit 0
+        (
+            {"eps_grid": [0.5, math.nan]},
+            ["parity-split", "--variant", "printed", "--ideal", "finite", "--eps", "nan"],
+            "eps_grid",
+        ),
+        ({"eps_grid": [math.inf, 0.5]}, ["parity-split", "--eps", "inf,0.5"], "eps_grid"),
         # tau changes only the density ideal's verdicts
         (
             {"ideal": {"kind": "blocks", "tau": 0.2}},
@@ -288,6 +306,10 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "params-key-unknown",
         "profile-key-unknown",
         "profile-not-an-object",
+        "profile-value-nan",
+        "profile-exponent-nan",
+        "eps-nan",
+        "eps-inf",
         "tau-with-blocks",
         "tau-with-finite",
     ],

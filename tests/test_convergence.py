@@ -182,8 +182,9 @@ def test_exceptional_set_all_or_nothing():
 
 
 def test_exceptional_set_requires_positive_epsilon():
-    with pytest.raises(ValueError):
-        exceptional_set([0.0], 0.0)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            exceptional_set([0.0], eps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,16 @@ def test_scalar_limit_rejects_bad_grid():
         scalar_i_limit(x, 0.0, Ideal.finite(), eps_grid=[], horizon=10)
     with pytest.raises(ValueError):
         scalar_i_limit(x, 0.0, Ideal.finite(), eps_grid=[0.1, -0.5], horizon=10)
+
+
+@pytest.mark.parametrize("grid", [(math.nan,), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf)])
+def test_eps_grid_must_be_finite(grid):
+    # NaN passes `e <= 0` and made every exceptional set empty: a wrong `converges`
+    seq, V, ideal = parity_split_example("printed")
+    with pytest.raises(ValueError, match="finite"):
+        subspace_i_converges(seq, V, Ideal.finite(), grid, horizon=100)
+    with pytest.raises(ValueError, match="finite"):
+        scalar_i_limit(ScalarSequence(lambda n: 0.0), 0.0, ideal, eps_grid=grid, horizon=50)
 
 
 @pytest.mark.parametrize("grid", [(0.01, 0.5), (0.5, 0.5), (0.5, 0.1, 0.2)])

@@ -22,7 +22,7 @@ from subspace_limits import (
     project,
     projection_norm_sq,
 )
-from subspace_limits.linalg import TOL_ORTHO, first_non_orthonormal
+from subspace_limits.linalg import TOL_ORTHO, first_non_orthonormal, residual_gap
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -389,6 +389,56 @@ def test_gap_accurate_at_small_scales(seed, d, k, exponent):
     # the error stays at the round-off of forming the residual, ~1e-16
     U, V, exact = tilted_pair(seed, d, min(k, d // 2), 10.0**-exponent)
     assert abs(gap(U, V) - exact) <= 1e-9 * exact + 1e-15
+
+
+def scaled_residuals(seed, m, k, d, exponents):
+    """(m, k, d) stack whose row i has norm 10**-exponents[i] / sqrt(k), so every gap is <= 1."""
+    R = np.random.default_rng(seed).standard_normal((m, k, d))
+    R /= np.linalg.norm(R, axis=-1, keepdims=True) * math.sqrt(k)
+    return R * 10.0 ** -np.asarray(exponents, dtype=float).reshape(1, k, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.integers(0, 32),
+    st.lists(st.floats(0.0, 14.0), min_size=8, max_size=8),
+)
+def test_residual_gap_matches_svd(seed, m, k, extra, exponents):
+    # the Gram eigensolve against the SVD it replaced, over mixed row scales
+    R = scaled_residuals(seed, m, k, k + extra, exponents[:k])
+    np.testing.assert_allclose(
+        residual_gap(R), np.linalg.svd(R, compute_uv=False)[..., 0], rtol=1e-13, atol=0
+    )
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-200, 1e-300])
+def test_residual_gap_scales_without_underflow(c):
+    # the squares of entries below ~1e-154 underflow; an unscaled Gram returns 0
+    R = scaled_residuals(16, 5, 4, 12, [0.0, 1.0, 3.0, 6.0])
+    np.testing.assert_array_max_ulp(residual_gap(c * R), c * residual_gap(R), maxulp=4)
+
+
+def test_residual_gap_of_zero_residuals():
+    R = scaled_residuals(17, 1, 3, 7, [0.0, 2.0, 5.0])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert residual_gap(np.zeros((3, 7))) == 0.0
+        mixed = residual_gap(np.stack([np.zeros((3, 7)), R]))
+    assert mixed[0] == 0.0
+    assert mixed[1] == pytest.approx(np.linalg.svd(R, compute_uv=False)[0], rel=1e-13)
+
+
+def test_residual_gap_of_one_row_is_its_norm():
+    rng = np.random.default_rng(18)
+    for d in range(2, 41):
+        R = rng.standard_normal((20, 1, d))
+        R *= 10.0 ** -rng.uniform(0, 14, (20, 1, 1)) / np.linalg.norm(R, axis=-1, keepdims=True)
+        np.testing.assert_array_max_ulp(
+            residual_gap(R), np.linalg.norm(R, axis=-1)[..., 0], maxulp=4
+        )
 
 
 # ---------------------------------------------------------------------------
