@@ -263,7 +263,7 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         (rotating(sed=3), None, "sequence.params.sed"),
         (rotating(profile={**PROFILE, "exponant": 3.0}), None, "sequence.params.profile.exponant"),
         (rotating(profile=[0.5]), None, "sequence.params.profile"),
-        # NaN passes every `<`/`<=` test; it used to fail later as a rule error (exit 4)
+        # NaN passes every `<`/`<=` test; unchecked, it fails later as a rule error (exit 4)
         (
             rotating(profile={"kind": "constant", "value": math.nan}),
             None,
@@ -274,7 +274,7 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
             None,
             "sequence.params.profile.exponent",
         ),
-        # a NaN eps made every exceptional set empty: `converges`, exit 0
+        # a NaN eps makes every exceptional set empty: a wrong `converges`, exit 0
         (
             {"eps_grid": [0.5, math.nan]},
             ["parity-split", "--variant", "printed", "--ideal", "finite", "--eps", "nan"],

@@ -224,7 +224,7 @@ def test_scalar_limit_rejects_bad_grid():
 
 @pytest.mark.parametrize("grid", [(math.nan,), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf)])
 def test_eps_grid_must_be_finite(grid):
-    # NaN passes `e <= 0` and made every exceptional set empty: a wrong `converges`
+    # NaN passes `e <= 0` and makes every exceptional set empty: a wrong `converges`
     seq, V, ideal = parity_split_example("printed")
     with pytest.raises(ValueError, match="finite"):
         subspace_i_converges(seq, V, Ideal.finite(), grid, horizon=100)
