@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -148,10 +149,14 @@ def _sine_profile(profile: dict, k: int):
     # an unknown kind is reported below, before any of its keys
     _object(profile, field, _PROFILE_KEYS.get(kind, profile))
 
+    def real(value, name) -> float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{field}.{name}", f"expected a real number, got {value!r}")
+        return float(value)
+
     def per_vector(value, name) -> np.ndarray:
-        arr = np.asarray(value, dtype=float).reshape(-1)
-        if arr.size == 1:
-            arr = np.repeat(arr, k)
+        arr = np.array([real(v, name) for v in (value if isinstance(value, list) else [value])])
+        arr = np.repeat(arr, k) if arr.size == 1 else arr
         if arr.size != k:
             raise ConfigError(f"{field}.{name}", f"expected a scalar or {k} values")
         if not np.all((arr >= 0) & (arr <= 1)):
@@ -160,7 +165,7 @@ def _sine_profile(profile: dict, k: int):
 
     def decay(scale, exponent):
         a = per_vector(profile.get(scale, 1.0), scale)
-        p = float(profile.get(exponent, 1.0))
+        p = real(profile.get(exponent, 1.0), exponent)
         if not p > 0:
             raise ConfigError(f"{field}.{exponent}", "must be positive")
         # n ** p in Python floats: numpy's array power can differ in the last ulp
@@ -201,8 +206,8 @@ def rotating_family(
     * ``{"kind": "parity", "odd_value": g, "even_scale": a,
       "even_exponent": p}``
 
-    ``value``/``scale``/``odd_value``/``even_scale`` accept a scalar or a
-    list of k values; any other key is a ConfigError.
+    Values are real numbers (not bools), or lists of k for ``value``, ``scale``,
+    ``odd_value`` and ``even_scale``; anything else is a ConfigError.
     """
     if ambient_dim < 2 * k:
         raise ConfigError(
@@ -361,8 +366,8 @@ def build_experiment(cfg: ExperimentConfig):
 
 def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
     """Per-index worst-case trace of all criteria, byte stable across runs."""
-    residual = traces.residual.max(axis=1).tolist()
-    rows = map("%d,%.17g,%.17g,%.17g,%.17g,%.17g".__mod__, zip(
+    residual = list(map("%.17g".__mod__, traces.residual.max(axis=1).tolist()))
+    rows = map("%d,%.17g,%s,%.17g,%.17g,%s\n".__mod__, zip(
         range(1, traces.horizon + 1),
         traces.gap.tolist(),
         residual,
@@ -370,7 +375,9 @@ def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
         traces.projection_norm.min(axis=1).tolist(),
         residual,  # crit5_max_i, the joint volume, is the residual column itself
     ))
-    path.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+    with path.open("w") as f:  # row by row: the whole text is never held in memory
+        f.write(TRACE_HEADER + "\n")
+        f.writelines(rows)
 
 
 def _scalar_limit_to_dict(rep: ScalarLimitReport) -> dict:

@@ -6,7 +6,7 @@ Three ideal families are supported:
 * the zero-density ideal (subsets whose natural density is 0),
 * the block ideal (subsets meeting only finitely many of the dyadic
   blocks D_j = {2^(j-1) * (2s - 1) : s in N}, which partition N by the
-  power of two dividing each number).
+  lowest set bit n & -n = 2^(j-1); block membership is tested with masks).
 
 Whether an infinite set belongs to an ideal is undecidable from a finite
 enumeration, so :func:`decide_membership` returns a tri-state verdict and
@@ -41,22 +41,12 @@ class CertificateError(ValueError):
 def block_index(n: int) -> int:
     """Index j of the dyadic block containing n.
 
-    n belongs to block j exactly when 2^(j-1) is the largest power of two
-    dividing n, so j is one plus the 2-adic valuation of n.
+    n belongs to block j exactly when its lowest set bit n & -n, the
+    largest power of two dividing n, is 2^(j-1).
     """
     if n < 1:
         raise ValueError(f"naturals start at 1, got {n}")
     return (n & -n).bit_length()
-
-
-def block_indices(members: np.ndarray) -> np.ndarray:
-    """:func:`block_index` of every entry of an integer array of naturals.
-
-    n & -n isolates the largest power of two dividing n, 2^(j-1); as a
-    float it is exact, and frexp returns its binary exponent j.
-    """
-    m = np.asarray(members, dtype=np.int64)
-    return np.frexp((m & -m).astype(float))[1]
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,8 @@ class IndexSet:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         m = np.array(self.members, dtype=np.int64).reshape(-1)
         if np.any(m[1:] <= m[:-1]):  # thresholded traces arrive sorted already
-            m = np.unique(m)
+            m = np.sort(m)
+            m = m[np.append(True, m[1:] != m[:-1])]
         if m.size and (m[0] < 1 or m[-1] > self.horizon):
             raise ValueError(
                 f"members must lie in [1, {self.horizon}], got range "
@@ -169,7 +160,8 @@ def certificate_covers(cert: TailCertificate, members: np.ndarray) -> np.ndarray
     if isinstance(cert, EmptyTail):
         return members <= cert.bound
     if isinstance(cert, SubsetOfBlocks):
-        return np.isin(block_indices(members), cert.blocks)
+        mask = sum(1 << (j - 1) for j in cert.blocks if j <= 63)  # no int64 > 0 is past 63
+        return (members & -members & mask) != 0
     if isinstance(cert, SubsetOfUnion):
         return np.logical_or.reduce([certificate_covers(p, members) for p in cert.parts])
     raise TypeError(f"not a tail certificate: {cert!r}")
@@ -338,8 +330,8 @@ def _in_every_window(values, horizon: int) -> bool:
 
 def _block_first_occurrences(P: IndexSet) -> list[int]:
     """Member values at which a previously unseen block index appears."""
-    _, first = np.unique(block_indices(P.members), return_index=True)
-    return P.members[np.sort(first)].tolist()
+    seen = np.bitwise_or.accumulate(P.members & -P.members)  # a new block adds a bit
+    return P.members[np.diff(seen, prepend=0) != 0].tolist()
 
 
 def decide_membership(

@@ -21,7 +21,9 @@ from subspace_limits.cli import (
     read_report,
     report_verdicts,
     rotating_family,
+    write_trace_csv,
 )
+from subspace_limits.convergence import CriterionTraces
 from subspace_limits.linalg import RankDeficiencyError, orthonormalize
 
 
@@ -211,6 +213,7 @@ PARITY_CONFIG = {
     "eps_grid": [0.5, 0.1],
 }
 PROFILE = {"kind": "power_decay", "scale": 0.5, "exponent": 2.0}
+PARITY_PROFILE = {"kind": "parity", "odd_value": 0.5, "even_scale": 0.5, "even_exponent": 1.0}
 ROTATING_PARAMS = {"ambient_dim": 4, "k": 1, "profile": PROFILE}
 
 
@@ -274,6 +277,36 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
             None,
             "sequence.params.profile.exponent",
         ),
+        # a profile value is a real number (not a bool), or a list of them per vector;
+        # a list exponent used to raise a TypeError with a traceback (exit 1)
+        (
+            rotating(profile={**PROFILE, "exponent": [1, 2]}),
+            None,
+            "sequence.params.profile.exponent",
+        ),
+        (rotating(profile={**PROFILE, "exponent": "x"}), None, "sequence.params.profile.exponent"),
+        (rotating(profile={**PROFILE, "scale": "0.5"}), None, "sequence.params.profile.scale"),
+        (rotating(profile={**PROFILE, "scale": [[0.5]]}), None, "sequence.params.profile.scale"),
+        (
+            rotating(profile={"kind": "constant", "value": True}),
+            None,
+            "sequence.params.profile.value",
+        ),
+        (
+            rotating(profile={**PARITY_PROFILE, "odd_value": None}),
+            None,
+            "sequence.params.profile.odd_value",
+        ),
+        (
+            rotating(profile={**PARITY_PROFILE, "even_scale": ["0.5"]}),
+            None,
+            "sequence.params.profile.even_scale",
+        ),
+        (
+            rotating(profile={**PARITY_PROFILE, "even_exponent": False}),
+            None,
+            "sequence.params.profile.even_exponent",
+        ),
         # a NaN eps makes every exceptional set empty: a wrong `converges`, exit 0
         (
             {"eps_grid": [0.5, math.nan]},
@@ -308,6 +341,14 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "profile-not-an-object",
         "profile-value-nan",
         "profile-exponent-nan",
+        "profile-exponent-list",
+        "profile-exponent-string",
+        "profile-scale-string",
+        "profile-scale-nested-list",
+        "profile-value-bool",
+        "profile-odd-value-null",
+        "profile-even-scale-list-of-strings",
+        "profile-even-exponent-bool",
         "eps-nan",
         "eps-inf",
         "tau-with-blocks",
@@ -450,6 +491,39 @@ def test_trace_floats_have_full_precision(tmp_path):
     assert n == "2"
     s = math.sin(2.0)
     assert float(g) == pytest.approx(abs(s) / math.sqrt(4.0 + s * s), abs=1e-15)
+
+
+def test_trace_csv_keeps_the_per_row_template(tmp_path):
+    # -0 and subnormals keep their text; the residual column fills two fields,
+    # and the last row's gap equals its residual
+    third = 1 / 3
+    traces = CriterionTraces(
+        horizon=6,
+        k=2,
+        gap=np.array([-0.0, 5e-324, 1.0, 0.1, third, 0.25]),
+        residual=np.array(
+            [[-0.0, -0.0], [5e-324, 0.0], [1.0, 0.1], [0.1, third], [third, 0.0], [0.25, 0.125]]
+        ),
+        coefficient_mass=np.array(
+            [[1.0, 1.0], [-0.0, 0.1], [5e-324, 1.0], [third, 1.0], [0.1, 0.1], [1.0, 0.75]]
+        ),
+        projection_norm=np.array(
+            [[third, 1.0], [1.0, 1.0], [0.1, 0.5], [-0.0, 1.0], [5e-324, 1.0], [1.0, 1.0]]
+        ),
+    )
+    residual = traces.residual.max(axis=1)
+    rows = [
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+        % (n, traces.gap[n - 1], residual[n - 1], traces.coefficient_mass[n - 1].min(),
+           traces.projection_norm[n - 1].min(), residual[n - 1])
+        for n in range(1, 7)
+    ]
+    write_trace_csv(tmp_path / "trace.csv", traces)
+    text = (tmp_path / "trace.csv").read_bytes()
+    assert text == "\n".join([TRACE_HEADER, *rows]).encode() + b"\n"
+    assert b"1,-0,-0,1,0.33333333333333331,-0\n" in text
+    assert b"2,4.9406564584124654e-324,4.9406564584124654e-324,-0," in text
+    assert b"6,0.25,0.25,0.75,1,0.25\n" in text
 
 
 # ---------------------------------------------------------------------------

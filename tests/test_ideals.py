@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspace_limits import (
@@ -25,7 +25,7 @@ from subspace_limits.ideals import (
     _block_first_occurrences,
     _dyadic_checkpoints,
     _in_every_window,
-    block_indices,
+    certificate_covers,
 )
 
 
@@ -80,9 +80,55 @@ def test_block_index_matches_enumeration():
             assert block_index(int(m)) == j
 
 
-def test_block_indices_match_block_index():
-    m = np.arange(1, 100_001)
-    assert block_indices(m).tolist() == [block_index(int(n)) for n in m]
+def _covers_by_loop(cert, members):
+    """Reference for certificate_covers: one block_index call per member."""
+    if isinstance(cert, EmptyTail):
+        return [m <= cert.bound for m in members]
+    if isinstance(cert, SubsetOfBlocks):
+        return [block_index(m) in cert.blocks for m in members]
+    return [any(hit) for hit in zip(*(_covers_by_loop(p, members) for p in cert.parts))]
+
+
+MEMBERS = st.lists(
+    st.one_of(
+        st.integers(1, 300),
+        st.integers(1, 2**62),
+        st.integers(0, 62).map(lambda e: 2**e),  # the smallest member of each block
+        st.integers(0, 61).map(lambda e: 2**62 - 2**e),
+    ),
+    max_size=40,
+)
+# no int64 member lies in block 64 or beyond; naming those blocks must not overflow
+BLOCKS = st.sets(st.one_of(st.integers(1, 70), st.sampled_from([63, 64, 10**6])), min_size=1)
+CERTIFICATES = st.recursive(
+    st.one_of(
+        BLOCKS.map(lambda b: SubsetOfBlocks(tuple(b))),
+        st.integers(0, 2**62).map(EmptyTail),
+    ),
+    lambda parts: st.lists(parts, min_size=1, max_size=3).map(
+        lambda p: SubsetOfUnion(tuple(p))
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(members=MEMBERS, cert=CERTIFICATES)
+@example(members=[], cert=SubsetOfBlocks((63, 64, 10**6)))
+@example(
+    members=[1, 2**61, 2**62, 2**62 - 1],
+    cert=SubsetOfUnion((SubsetOfBlocks((63,)), SubsetOfUnion((SubsetOfBlocks((64, 10**6)),)))),
+)
+def test_block_masks_match_the_block_index_loop(members, cert):
+    P = IndexSet(2**62, members)
+    m = P.members.tolist()
+    assert certificate_covers(cert, P.members).tolist() == _covers_by_loop(cert, m)
+    seen, want = set(), []
+    for n in m:
+        if block_index(n) not in seen:
+            seen.add(block_index(n))
+            want.append(n)
+    assert _block_first_occurrences(P) == want
 
 
 def test_block_first_occurrences_match_loop():
