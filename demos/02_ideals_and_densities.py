@@ -15,7 +15,6 @@ from subspace_limits import (
     SubsetOfUnion,
     block_index,
     decide_membership,
-    density_estimate,
     filter_contains,
     partial_density,
 )
@@ -34,9 +33,10 @@ squares = IndexSet(HORIZON, [i * i for i in range(1, 101)])
 print("partial densities of the odd numbers:")
 for j in (10, 100, 1000, HORIZON):
     print(f"  d_{j}(odds) = {partial_density(odds, j):.4f}")
-est = density_estimate(squares)
+# The density ideal's verdict carries the partial densities at dyadic checkpoints.
+squares_verdict = decide_membership(Ideal.density(), squares)
 print("dyadic density trail of the squares:",
-      [f"{d:.4f}" for _, d in est.checkpoints], "-> shrinking toward 0")
+      [f"{d:.4f}" for _, d in squares_verdict.evidence["checkpoints"]], "-> shrinking toward 0")
 print()
 
 
@@ -46,14 +46,12 @@ def show(label, verdict):
 
 # Without certificates the verdicts extrapolate from the data.
 print(f"membership verdicts at horizon {HORIZON}:")
-for name, ideal in (("finite", Ideal.finite()),
-                    ("density", Ideal.density()),
-                    ("blocks", Ideal.blocks())):
-    show(f"odds in {name} ideal", decide_membership(ideal, odds))
+for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
+    show(f"odds in {ideal.kind} ideal", decide_membership(ideal, odds))
 print()
 
 # The squares have density zero; the data shows it.
-show("squares in density ideal", decide_membership(Ideal.density(), squares))
+show("squares in density ideal", squares_verdict)
 
 # A certificate upgrades the verdict to exact: the odds are exactly the
 # first dyadic block.

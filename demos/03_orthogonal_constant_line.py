@@ -36,7 +36,7 @@ print()
 for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
     report = subspace_i_converges(seq, V, ideal, horizon=HORIZON)
     check = self_projection_volume_check(seq, V, ideal, horizon=HORIZON, traces=traces)
-    print(f"{ideal.kind.value:>8s} ideal: subspace verdict = {report.overall.value:<18s}"
+    print(f"{ideal.kind:>8s} ideal: subspace verdict = {report.overall.value:<18s}"
           f" volume criterion = {check.volume.overall.value:<10s}"
           f" converse falsified = {check.converse_falsified}")
 

@@ -39,7 +39,7 @@ for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
     report = subspace_i_converges(seq, V, ideal, horizon=HORIZON)
     eps_rows = report.criteria[0].per_vector[0].per_epsilon
     modes = {v.mode.value for _, v in eps_rows}
-    print(f"  {ideal.kind.value:>8s}: {report.overall.value:<18s} (modes: {sorted(modes)})")
+    print(f"  {ideal.kind:>8s}: {report.overall.value:<18s} (modes: {sorted(modes)})")
 print()
 
 # the exceptional sets behind the density verdict really have density 1/2

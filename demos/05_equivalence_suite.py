@@ -37,7 +37,7 @@ print()
 
 for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
     report = equivalence_suite(seq, V, ideal, horizon=HORIZON, traces=traces)
-    print(f"{ideal.kind.value} ideal:")
+    print(f"{ideal.kind} ideal:")
     for crit in report.criteria:
         print(f"  {crit.name:<18s} {crit.overall.value}")
     rows = report.agreement_matrix()

@@ -3,11 +3,12 @@
 The library splits into four layers:
 
 * :mod:`subspace_limits.linalg` -- orthonormal bases, projections, the
-  gap metric, Gram determinants and joint norms;
+  gap metric and joint norms;
 * :mod:`subspace_limits.oracle` -- slow, independent brute-force versions
   of the same quantities, used for cross-checking;
-* :mod:`subspace_limits.ideals` -- ideals on N (finite, zero-density,
-  dyadic-block) with certificate-backed membership verdicts;
+* :mod:`subspace_limits.ideals` -- ideals on N, one class per family
+  (finite, zero-density, dyadic-block), with certificate-backed
+  membership verdicts;
 * :mod:`subspace_limits.convergence` -- the engine deciding whether a
   sequence of subspaces converges to a candidate limit under an ideal,
   with five equivalent criteria evaluated side by side.
@@ -36,17 +37,14 @@ from .convergence import (
     parity_split_example,
     scalar_i_limit,
     self_projection_volume_check,
-    statistical_converges,
     subspace_i_converges,
-    usual_converges,
 )
 from .ideals import (
+    IDEALS,
     AxiomsReport,
     CertificateError,
-    DensityEstimate,
     EmptyTail,
     Ideal,
-    IdealKind,
     IdealVerdict,
     IndexSet,
     Mode,
@@ -57,7 +55,6 @@ from .ideals import (
     axioms_check,
     block_index,
     decide_membership,
-    density_estimate,
     filter_contains,
     partial_density,
 )
@@ -67,13 +64,9 @@ from .linalg import (
     Subspace,
     dist_point_subspace,
     gap,
-    gram_matrix,
-    gramian,
-    inner,
     n_norm,
     orthonormalize,
     project,
-    projection_norm_sq,
 )
 from .oracle import SamplingPlan, det_bruteforce, gap_bruteforce, jacobi_eigenvalues
 
@@ -87,11 +80,10 @@ __all__ = [
     "CriterionReport",
     "CriterionTraces",
     "DEFAULT_EPS_GRID",
-    "DensityEstimate",
     "DimensionMismatchError",
     "EmptyTail",
+    "IDEALS",
     "Ideal",
-    "IdealKind",
     "IdealVerdict",
     "IndexSet",
     "Mode",
@@ -113,7 +105,6 @@ __all__ = [
     "constant_orthogonal_example",
     "criterion_traces",
     "decide_membership",
-    "density_estimate",
     "det_bruteforce",
     "dist_point_subspace",
     "equivalence_suite",
@@ -122,19 +113,13 @@ __all__ = [
     "gap",
     "gap_bruteforce",
     "gap_trace",
-    "gram_matrix",
-    "gramian",
-    "inner",
     "jacobi_eigenvalues",
     "n_norm",
     "orthonormalize",
     "parity_split_example",
     "partial_density",
     "project",
-    "projection_norm_sq",
     "scalar_i_limit",
     "self_projection_volume_check",
-    "statistical_converges",
     "subspace_i_converges",
-    "usual_converges",
 ]

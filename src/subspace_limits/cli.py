@@ -51,7 +51,7 @@ from .convergence import (
     self_projection_volume_check,
     subspace_i_converges,
 )
-from .ideals import DEFAULT_TAU, Ideal, IdealKind
+from .ideals import IDEALS
 from .linalg import RankDeficiencyError, Subspace, orthonormalize
 
 EXIT_CONVERGES = 0
@@ -83,6 +83,14 @@ def _object(value, field: str, known, required=()) -> None:
     for key in required:
         if key not in value:
             raise ConfigError(prefix + key, "is required")
+
+
+def _number(value, field: str, integer: bool = False):
+    """A config value as a float, or as an int if ``integer``; a bool is neither."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(field, f"expected {what}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 # --------------------------------------------------------------------------
@@ -146,16 +154,12 @@ def _sine_profile(profile: dict, k: int):
     """Compile a profile spec into a function ns (m,) -> per-vector sines (m, k)."""
     field = "sequence.params.profile"
     kind = profile.get("kind") if isinstance(profile, dict) else None
-    # an unknown kind is reported below, before any of its keys
+    # report an unknown kind below, before any of its keys
     _object(profile, field, _PROFILE_KEYS.get(kind, profile))
 
-    def real(value, name) -> float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{field}.{name}", f"expected a real number, got {value!r}")
-        return float(value)
-
     def per_vector(value, name) -> np.ndarray:
-        arr = np.array([real(v, name) for v in (value if isinstance(value, list) else [value])])
+        values = value if isinstance(value, list) else [value]
+        arr = np.array([_number(v, f"{field}.{name}") for v in values])
         arr = np.repeat(arr, k) if arr.size == 1 else arr
         if arr.size != k:
             raise ConfigError(f"{field}.{name}", f"expected a scalar or {k} values")
@@ -165,7 +169,7 @@ def _sine_profile(profile: dict, k: int):
 
     def decay(scale, exponent):
         a = per_vector(profile.get(scale, 1.0), scale)
-        p = real(profile.get(exponent, 1.0), exponent)
+        p = _number(profile.get(exponent, 1.0), f"{field}.{exponent}")
         if not p > 0:
             raise ConfigError(f"{field}.{exponent}", "must be positive")
         # n ** p in Python floats: numpy's array power can differ in the last ulp
@@ -274,12 +278,18 @@ class ExperimentConfig:
                 )
             known = ("ambient_dim", "k", "profile", "seed")
             _object(self.sequence.get("params"), "sequence.params", known, known[:3])
-        _object(self.ideal, "ideal", ("kind", "tau"), ("kind",))
+        kind = self.ideal.get("kind") if isinstance(self.ideal, dict) else None
+        ideal = IDEALS.get(kind) if isinstance(kind, str) else None
+        # report an unknown kind below, before any of its keys
+        known = ["kind", *(f.name for f in fields(ideal))] if ideal else self.ideal
+        _object(self.ideal, "ideal", known, ("kind",))
+        if ideal is None:
+            raise ConfigError("ideal.kind", f"unknown kind {kind!r}; choose from {list(IDEALS)}")
         if not isinstance(self.horizon, int) or self.horizon < 16:
             raise ConfigError("horizon", "must be an integer >= 16")
-        grid = self.eps_grid
-        if not isinstance(grid, list) or not all(isinstance(e, (int, float)) for e in grid):
+        if not isinstance(self.eps_grid, list):
             raise ConfigError("eps_grid", "must be a list of numbers")
+        grid = [_number(eps, "eps_grid") for eps in self.eps_grid]
         with _config_field("eps_grid"):
             _validate_eps_grid(grid)
         if not isinstance(self.out_dir, str) or not self.out_dir:
@@ -321,12 +331,10 @@ def _config_field(field: str):
 
 def build_experiment(cfg: ExperimentConfig):
     """Materialize (sequence, candidate limit, ideal) from a validated config."""
-    with _config_field("ideal.kind"):
-        kind = IdealKind(cfg.ideal["kind"])
-    if "tau" in cfg.ideal and kind is not IdealKind.DENSITY:
-        raise ConfigError("ideal.tau", f"applies to the density ideal only, not {kind.value!r}")
-    with _config_field("ideal.tau"):
-        ideal = Ideal(kind, cfg.ideal.get("tau", DEFAULT_TAU))
+    params = {key: value for key, value in cfg.ideal.items() if key != "kind"}
+    # an ideal has at most one field, so a rejected value is the one named here
+    with _config_field(".".join(["ideal", *params])):
+        ideal = IDEALS[cfg.ideal["kind"]](**params)
     limit_rows = None
     if cfg.limit_basis is not None:
         try:
@@ -351,10 +359,10 @@ def build_experiment(cfg: ExperimentConfig):
     else:
         params = cfg.sequence["params"]
         seq, V = rotating_family(
-            ambient_dim=int(params["ambient_dim"]),
-            k=int(params["k"]),
+            ambient_dim=_number(params["ambient_dim"], "sequence.params.ambient_dim", integer=True),
+            k=_number(params["k"], "sequence.params.k", integer=True),
             profile=params["profile"],
-            seed=int(params.get("seed", 0)),
+            seed=_number(params.get("seed", 0), "sequence.params.seed", integer=True),
             limit_basis=limit_rows,
         )
     return seq, V, ideal
@@ -529,6 +537,8 @@ def _prepare(args):
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = criterion_traces(seq, V, cfg.horizon)
+    print(f"sequence: {seq.description}")
+    print(f"ideal: {ideal.kind}   horizon: {cfg.horizon}   eps: {cfg.eps_grid}")
     return cfg, seq, V, ideal, out_dir, traces
 
 
@@ -538,8 +548,6 @@ def cmd_analyze(args) -> int:
     doc = report_to_dict(report, "analyze")
     write_report(out_dir / "report.json", doc)
     write_trace_csv(out_dir / "trace.csv", traces)
-    print(f"sequence: {seq.description}")
-    print(f"ideal: {ideal.kind.value}   horizon: {cfg.horizon}   eps: {cfg.eps_grid}")
     for eps, verdict in report.criteria[0].per_vector[0].per_epsilon:
         print(f"  eps={eps:g}: {verdict.status.value} ({verdict.mode.value})")
     print(f"verdict: {report.overall.value}")
@@ -558,8 +566,6 @@ def cmd_suite(args) -> int:
     doc = report_to_dict(report, "suite", volume_check=volume)
     write_report(out_dir / "suite_report.json", doc)
     write_trace_csv(out_dir / "trace.csv", traces)
-    print(f"sequence: {seq.description}")
-    print(f"ideal: {ideal.kind.value}   horizon: {cfg.horizon}   eps: {cfg.eps_grid}")
     names = [c.name for c in report.criteria]
     width = max(len(n) for n in names)
     for crit in report.criteria:
@@ -640,7 +646,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--ideal",
-        choices=[k.value for k in IdealKind],
+        choices=list(IDEALS),
         help="ideal to judge exceptional sets against (default: the built-in's choice)",
     )
     sub.add_argument("--tau", type=float, help="density threshold (density ideal only)")

@@ -139,7 +139,10 @@ def _checked_basis(seq: SubspaceSequence, n: int) -> np.ndarray:
 
 
 def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[int, float]]:
-    """The per-index gap to V: [(n, gap(U_n, V)) for n = 1..horizon]."""
+    """The per-index gap to V: [(n, gap(U_n, V)) for n = 1..horizon].
+
+    Kept public under this name because ``bench/spans.py`` wraps it by name.
+    """
     return list(zip(range(1, horizon + 1), criterion_traces(seq, V, horizon).gap.tolist()))
 
 
@@ -454,26 +457,6 @@ def subspace_i_converges(
     evaluating the sequence again.
     """
     return _judge(_CRITERIA[:1], seq, V, ideal, eps_grid, horizon, traces)
-
-
-def usual_converges(
-    seq: SubspaceSequence,
-    V: Subspace,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = DEFAULT_HORIZON,
-) -> ConvergenceReport:
-    """Plain convergence: the finite ideal's notion."""
-    return subspace_i_converges(seq, V, Ideal.finite(), eps_grid, horizon)
-
-
-def statistical_converges(
-    seq: SubspaceSequence,
-    V: Subspace,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = DEFAULT_HORIZON,
-) -> ConvergenceReport:
-    """Statistical convergence: the zero-density ideal's notion."""
-    return subspace_i_converges(seq, V, Ideal.density(), eps_grid, horizon)
 
 
 def equivalence_suite(

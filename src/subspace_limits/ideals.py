@@ -1,12 +1,14 @@
 """Ideals on the natural numbers with finite-horizon membership verdicts.
 
-Three ideal families are supported:
+Three ideal families are supported, one class each, which owns the
+family's parameters, the tail certificates that settle membership and the
+empirical rules; :data:`IDEALS` maps each class's ``kind`` to the class:
 
-* the finite ideal (all finite subsets of N),
-* the zero-density ideal (subsets whose natural density is 0),
-* the block ideal (subsets meeting only finitely many of the dyadic
-  blocks D_j = {2^(j-1) * (2s - 1) : s in N}, which partition N by the
-  lowest set bit n & -n = 2^(j-1); block membership is tested with masks).
+* ``finite``, all finite subsets of N;
+* ``density``, the subsets of natural density 0;
+* ``blocks``, the subsets meeting only finitely many of the dyadic blocks
+  D_j = {2^(j-1) * (2s - 1) : s in N}, which partition N by the lowest set
+  bit n & -n = 2^(j-1); block membership is tested with masks.
 
 Whether an infinite set belongs to an ideal is undecidable from a finite
 enumeration, so :func:`decide_membership` returns a tri-state verdict and
@@ -19,10 +21,11 @@ checkpoints, and should be read as "what the data suggests".
 
 from __future__ import annotations
 
+import abc
 import enum
 import numbers
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -167,22 +170,6 @@ def certificate_covers(cert: TailCertificate, members: np.ndarray) -> np.ndarray
     raise TypeError(f"not a tail certificate: {cert!r}")
 
 
-def certificate_is_finite(cert: TailCertificate) -> bool:
-    """Whether the certified superset is finite.
-
-    In this grammar that is also exactly when the superset provably has
-    density zero: a dyadic block D_j has density 2^-j > 0, so only the
-    finite parts of a certificate bound the density by zero.
-    """
-    if isinstance(cert, EmptyTail):
-        return True
-    if isinstance(cert, SubsetOfBlocks):
-        return False
-    if isinstance(cert, SubsetOfUnion):
-        return all(certificate_is_finite(p) for p in cert.parts)
-    raise TypeError(f"not a tail certificate: {cert!r}")
-
-
 def certificate_describe(cert: TailCertificate) -> str:
     if isinstance(cert, EmptyTail):
         return f"empty beyond {cert.bound}"
@@ -203,52 +190,15 @@ def validate_certificate(cert: TailCertificate, index_set: IndexSet) -> None:
         )
 
 
+def _finite_superset(cert: TailCertificate) -> bool:
+    """Whether a validated certificate's superset is finite: it names no block."""
+    if isinstance(cert, SubsetOfUnion):
+        return all(_finite_superset(p) for p in cert.parts)
+    return isinstance(cert, EmptyTail)
+
+
 # --------------------------------------------------------------------------
-# Ideals and verdicts
-
-
-class IdealKind(enum.Enum):
-    FINITE = "finite"
-    DENSITY = "density"
-    BLOCKS = "blocks"
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """One of the three built-in ideal families.
-
-    ``tau`` only matters for the density ideal. How much of the trailing
-    horizon must be free of new members (finite ideal) or new block
-    indices (block ideal) before an empirical InIdeal verdict is issued is
-    fixed by ``STABILIZATION_FRACTION`` and ``BLOCK_WINDOW_FRACTION``.
-    """
-
-    kind: IdealKind
-    tau: float = DEFAULT_TAU
-
-    def __post_init__(self):
-        if not isinstance(self.kind, IdealKind):
-            object.__setattr__(self, "kind", IdealKind(self.kind))
-        if not isinstance(self.tau, numbers.Real) or not 0.0 < self.tau < 0.5:
-            raise ValueError(f"tau must be a number in (0, 0.5), got {self.tau!r}")
-
-    @staticmethod
-    def finite() -> "Ideal":
-        return Ideal(IdealKind.FINITE)
-
-    @staticmethod
-    def density(tau: float = DEFAULT_TAU) -> "Ideal":
-        return Ideal(IdealKind.DENSITY, tau=tau)
-
-    @staticmethod
-    def blocks() -> "Ideal":
-        return Ideal(IdealKind.BLOCKS)
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind.value}
-        if self.kind is IdealKind.DENSITY:
-            out["tau"] = self.tau
-        return out
+# Verdicts
 
 
 class Status(enum.Enum):
@@ -270,7 +220,7 @@ class IdealVerdict:
 
 
 # --------------------------------------------------------------------------
-# Densities
+# Densities and dyadic windows
 
 
 def _dyadic_checkpoints(horizon: int) -> list[int]:
@@ -287,41 +237,6 @@ def partial_density(P: IndexSet, j: int) -> float:
     return P.count_up_to(j) / j
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Final partial density plus the dyadic checkpoint trail behind it."""
-
-    estimate: float
-    checkpoints: tuple[tuple[int, float], ...]  # (j, d_j) with j increasing
-
-    def non_increasing(self) -> bool:
-        """Trend check with 1/j slack to absorb single-element quantization."""
-        return all(
-            d2 <= d1 + 1.0 / j1
-            for (j1, d1), (_, d2) in zip(self.checkpoints, self.checkpoints[1:])
-        )
-
-    def never_below(self, level: float) -> bool:
-        """Whether every checkpoint density is at least ``level``."""
-        return all(d >= level for _, d in self.checkpoints)
-
-
-def density_estimate(P: IndexSet) -> DensityEstimate:
-    """Partial density at the horizon with a dyadic trend trail.
-
-    Checkpoints sit at horizon / 2^i for i = 4..0, so the horizon must be
-    at least 16 for the trail to make sense.
-    """
-    if P.horizon < 16:
-        raise ValueError(f"need horizon >= 16 for a dyadic trail, got {P.horizon}")
-    checkpoints = tuple((j, partial_density(P, j)) for j in _dyadic_checkpoints(P.horizon))
-    return DensityEstimate(checkpoints[-1][1], checkpoints)
-
-
-# --------------------------------------------------------------------------
-# Membership decisions
-
-
 def _in_every_window(values, horizon: int) -> bool:
     """Whether sorted naturals meet every window (lo, hi] cut at 0 and the dyadic checkpoints."""
     counts = np.searchsorted(values, [0, *_dyadic_checkpoints(horizon)], side="right")
@@ -334,46 +249,56 @@ def _block_first_occurrences(P: IndexSet) -> list[int]:
     return P.members[np.diff(seen, prepend=0) != 0].tolist()
 
 
-def decide_membership(
-    ideal: Ideal, P: IndexSet, certificate: Optional[TailCertificate] = None
-) -> IdealVerdict:
-    """Tri-state membership verdict for P in the given ideal.
+# --------------------------------------------------------------------------
+# Ideals
 
-    With a certificate that settles the question the verdict is exact:
-    any certified superset that is finite (finite ideal), has density
-    zero (density ideal), or meets only finitely many blocks -- which
-    every certificate in the grammar does -- (block ideal) yields
-    InIdeal. A certificate that fails to settle it falls back to the
-    empirical rules; a certificate contradicted by the data raises
-    :class:`CertificateError`.
 
-    Empirically, InIdeal needs the observed set to have stopped growing
-    in the relevant sense (no members, or no new block indices, in the
-    trailing stabilization window; or final density at most tau with a
-    non-increasing dyadic trend), NotInIdeal needs persistent growth
-    (members or new block indices in every dyadic window; or density at
-    least 2 tau at every dyadic checkpoint), and anything in between is
-    Inconclusive.
+class Ideal(abc.ABC):
+    """An ideal on N: one frozen subclass per family, whose fields are its parameters."""
+
+    kind: ClassVar[str]
+
+    @staticmethod
+    def finite() -> "FiniteIdeal":
+        return FiniteIdeal()
+
+    @staticmethod
+    def density(tau: float = DEFAULT_TAU) -> "DensityIdeal":
+        return DensityIdeal(tau)
+
+    @staticmethod
+    def blocks() -> "BlockIdeal":
+        return BlockIdeal()
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+    @abc.abstractmethod
+    def settles(self, cert: TailCertificate) -> bool:
+        """Whether the certified superset, and so every set inside it, is in the ideal."""
+
+    @abc.abstractmethod
+    def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
+        """The verdict the enumerated prefix suggests, with ``evidence`` extended."""
+
+
+@dataclass(frozen=True)
+class FiniteIdeal(Ideal):
+    """All finite subsets of N; I-convergence under it is plain convergence.
+
+    Empirically, InIdeal needs the trailing ``STABILIZATION_FRACTION`` of the
+    horizon free of members, NotInIdeal members in every dyadic window.
     """
-    base_evidence: dict = {"horizon": P.horizon, "member_count": len(P)}
-    if certificate is not None:
-        validate_certificate(certificate, P)
-        # every certificate in the grammar meets finitely many blocks
-        if ideal.kind is IdealKind.BLOCKS or certificate_is_finite(certificate):
-            return IdealVerdict(
-                Status.IN_IDEAL,
-                Mode.EXACT,
-                {**base_evidence, "certificate": certificate_describe(certificate)},
-            )
-        base_evidence["certificate_note"] = (
-            f"certificate ({certificate_describe(certificate)}) is consistent "
-            f"but does not settle membership in the {ideal.kind.value} ideal"
-        )
 
-    if ideal.kind is IdealKind.FINITE:
+    kind: ClassVar[str] = "finite"
+
+    def settles(self, cert: TailCertificate) -> bool:
+        return _finite_superset(cert)
+
+    def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
         window = max(1, int(STABILIZATION_FRACTION * P.horizon))
         last = P.last()
-        evidence = {**base_evidence, "last_member": last, "window": window}
+        evidence = {**evidence, "last_member": last, "window": window}
         if last <= P.horizon - window:
             return IdealVerdict(Status.IN_IDEAL, Mode.EMPIRICAL, evidence)
         if _in_every_window(P.members, P.horizon):
@@ -381,52 +306,115 @@ def decide_membership(
             return IdealVerdict(Status.NOT_IN_IDEAL, Mode.EMPIRICAL, evidence)
         return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
 
-    if ideal.kind is IdealKind.DENSITY:
+
+@dataclass(frozen=True)
+class DensityIdeal(Ideal):
+    """Subsets of density zero; I-convergence under it is statistical convergence.
+
+    Only a finite certified superset settles membership: a block D_j has
+    density 2^-j > 0. Empirically, InIdeal needs a final partial density of
+    at most ``tau`` and a non-increasing trail of them at the dyadic
+    checkpoints (horizon >= 16), NotInIdeal at least 2 ``tau`` at each.
+    """
+
+    kind: ClassVar[str] = "density"
+    tau: float = DEFAULT_TAU
+
+    def __post_init__(self):
+        if not isinstance(self.tau, numbers.Real) or not 0.0 < self.tau < 0.5:
+            raise ValueError(f"tau must be a number in (0, 0.5), got {self.tau!r}")
+
+    def settles(self, cert: TailCertificate) -> bool:
+        return _finite_superset(cert)
+
+    def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
         if P.horizon < 16:
-            return IdealVerdict(
-                Status.INCONCLUSIVE,
-                Mode.EMPIRICAL,
-                {**base_evidence, "note": "horizon too small for a density trend"},
-            )
-        est = density_estimate(P)
-        evidence = {
-            **base_evidence,
-            "final_density": est.estimate,
-            "checkpoints": list(est.checkpoints),
-            "tau": ideal.tau,
-        }
-        if est.estimate <= ideal.tau and est.non_increasing():
+            evidence = {**evidence, "note": "horizon too small for a density trend"}
+            return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
+        js = _dyadic_checkpoints(P.horizon)
+        counts = np.searchsorted(P.members, js, side="right").tolist()
+        trail = [(j, count / j) for j, count in zip(js, counts)]
+        final = trail[-1][1]
+        evidence = {**evidence, "final_density": final, "checkpoints": trail, "tau": self.tau}
+        # 1/j slack absorbs the quantization of a single member
+        non_increasing = all(d2 <= d1 + 1.0 / j1 for (j1, d1), (_, d2) in zip(trail, trail[1:]))
+        if final <= self.tau and non_increasing:
             return IdealVerdict(Status.IN_IDEAL, Mode.EMPIRICAL, evidence)
         # a direction test on consecutive checkpoints is too brittle here: a
         # dense set plus a small prefix drifts slightly downward while its
         # density clearly stays put, so "persistently large" is judged by
         # the level at every dyadic scale instead
-        if est.never_below(2.0 * ideal.tau):
+        if all(d >= 2.0 * self.tau for _, d in trail):
             evidence["note"] = "density at least 2*tau at every dyadic checkpoint"
             return IdealVerdict(Status.NOT_IN_IDEAL, Mode.EMPIRICAL, evidence)
         return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
 
-    # block ideal
-    window = max(1, int(BLOCK_WINDOW_FRACTION * P.horizon))
-    events = _block_first_occurrences(P)
-    last_new = events[-1] if events else 0
-    evidence = {
-        **base_evidence,
-        "distinct_blocks": len(events),
-        "last_new_block_at": last_new,
-        "window": window,
-    }
-    # Novelty comes first: block j cannot appear before index 2^(j-1), so a
-    # set meeting ever more blocks produces first occurrences on an
-    # exponential schedule and may still look quiet near the horizon. A new
-    # block inside every dyadic window is that signature and overrides the
-    # trailing-window stabilization test.
-    if _in_every_window(events, P.horizon):
-        evidence["note"] = "new block indices keep appearing at every dyadic checkpoint"
-        return IdealVerdict(Status.NOT_IN_IDEAL, Mode.EMPIRICAL, evidence)
-    if last_new <= P.horizon - window:
-        return IdealVerdict(Status.IN_IDEAL, Mode.EMPIRICAL, evidence)
-    return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
+
+@dataclass(frozen=True)
+class BlockIdeal(Ideal):
+    """Subsets of N meeting only finitely many dyadic blocks.
+
+    Every certificate settles membership, since each names finitely many
+    blocks plus a finite set. Empirically, NotInIdeal needs a new block index
+    in every dyadic window, InIdeal none in the trailing ``BLOCK_WINDOW_FRACTION``.
+    """
+
+    kind: ClassVar[str] = "blocks"
+
+    def settles(self, cert: TailCertificate) -> bool:
+        return True
+
+    def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
+        window = max(1, int(BLOCK_WINDOW_FRACTION * P.horizon))
+        events = _block_first_occurrences(P)
+        last_new = events[-1] if events else 0
+        evidence = {
+            **evidence,
+            "distinct_blocks": len(events),
+            "last_new_block_at": last_new,
+            "window": window,
+        }
+        # Novelty comes first: block j cannot appear before index 2^(j-1), so a
+        # set meeting ever more blocks produces first occurrences on an
+        # exponential schedule and may still look quiet near the horizon. A new
+        # block inside every dyadic window is that signature and overrides the
+        # trailing-window stabilization test.
+        if _in_every_window(events, P.horizon):
+            evidence["note"] = "new block indices keep appearing at every dyadic checkpoint"
+            return IdealVerdict(Status.NOT_IN_IDEAL, Mode.EMPIRICAL, evidence)
+        if last_new <= P.horizon - window:
+            return IdealVerdict(Status.IN_IDEAL, Mode.EMPIRICAL, evidence)
+        return IdealVerdict(Status.INCONCLUSIVE, Mode.EMPIRICAL, evidence)
+
+
+IDEALS = {cls.kind: cls for cls in (FiniteIdeal, DensityIdeal, BlockIdeal)}
+
+
+# --------------------------------------------------------------------------
+# Membership decisions
+
+
+def decide_membership(
+    ideal: Ideal, P: IndexSet, certificate: Optional[TailCertificate] = None
+) -> IdealVerdict:
+    """Tri-state membership verdict for P in the given ideal.
+
+    A certificate the ideal settles yields an exact InIdeal; one it does not
+    settle falls back to the ideal's empirical rules (InIdeal once P stops
+    growing, NotInIdeal while it keeps growing, else Inconclusive); one the
+    data contradicts raises :class:`CertificateError`.
+    """
+    evidence: dict = {"horizon": P.horizon, "member_count": len(P)}
+    if certificate is not None:
+        validate_certificate(certificate, P)
+        if ideal.settles(certificate):
+            evidence["certificate"] = certificate_describe(certificate)
+            return IdealVerdict(Status.IN_IDEAL, Mode.EXACT, evidence)
+        evidence["certificate_note"] = (
+            f"certificate ({certificate_describe(certificate)}) is consistent "
+            f"but does not settle membership in the {ideal.kind} ideal"
+        )
+    return ideal.empirical(P, evidence)
 
 
 def filter_contains(

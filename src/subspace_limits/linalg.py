@@ -2,10 +2,11 @@
 
 Everything here works on plain float vectors and on `Subspace` objects,
 which store an orthonormal basis as rows of a read-only array. The module
-provides inner products, orthonormalization, orthogonal projection,
-point-to-subspace distance, the gap metric (a symmetric eigensolve of the
-residual's Gram) and the joint norm (a QR volume) of a vector family; the
-gap and orthonormality kernels also take stacks of bases. All functions are pure and safe to share across threads.
+provides orthonormalization, orthogonal projection, point-to-subspace
+distance, the gap metric (a symmetric eigensolve of the residual's Gram)
+and the joint norm (a QR volume) of a vector family; the gap and
+orthonormality kernels also take stacks of bases. All functions are pure
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -109,15 +110,6 @@ def first_non_orthonormal(bases: np.ndarray) -> tuple[int, str] | None:
     return i, f"basis rows are not orthonormal (max |B B^T - I| entry = {dev[i]:.3e})"
 
 
-def inner(u, v) -> float:
-    """Standard dot product <u, v> = sum_i u_i v_i."""
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.size != b.size:
-        raise DimensionMismatchError(f"lengths differ: {a.size} vs {b.size}")
-    return float(a @ b)
-
-
 def orthonormalize(vectors) -> Subspace:
     """Build a Subspace from linearly independent spanning vectors.
 
@@ -158,17 +150,6 @@ def dist_point_subspace(u, V: Subspace) -> float:
     """Distance from the point u to the subspace V, i.e. ||u - P_V(u)||."""
     x = _as_vector(u)
     return float(np.linalg.norm(x - project(x, V)))
-
-
-def projection_norm_sq(u, V: Subspace) -> float:
-    """Squared norm of the projection of u onto V, as sum_j <u, v_j>^2."""
-    x = _as_vector(u)
-    if x.size != V.ambient_dim:
-        raise DimensionMismatchError(
-            f"vector length {x.size} != ambient dimension {V.ambient_dim}"
-        )
-    c = V.basis @ x
-    return float(c @ c)
 
 
 def cross_residual(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,20 +195,6 @@ def gap(U: Subspace, V: Subspace) -> float:
     return float(residual_gap(cross_residual(U.basis, V.basis)[1]))
 
 
-def gram_matrix(vectors) -> np.ndarray:
-    """Matrix of pairwise inner products <x_i, x_j> of the given vectors."""
-    rows = _as_vector_family(vectors)
-    return rows @ rows.T
-
-
-def gramian(vectors) -> float:
-    """Determinant of the Gram matrix of the given vectors: the squared joint norm.
-
-    Nonnegative; vanishes exactly when the vectors are linearly dependent.
-    """
-    return n_norm(vectors) ** 2
-
-
 def n_norm(vectors) -> float:
     """Joint norm of a vector family: sqrt of the Gram determinant.
 
@@ -235,6 +202,7 @@ def n_norm(vectors) -> float:
     of the QR factorization of the d x r matrix whose columns are the vectors.
     It is zero when they are dependent, in particular when r > d, and stays
     accurate far below the ~1e-8 floor of rooting a Gram determinant.
+    Kept public under this name because ``bench/spans.py`` wraps it by name.
     """
     rows = _as_vector_family(vectors)
     r, d = rows.shape

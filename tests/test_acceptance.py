@@ -28,11 +28,8 @@ from subspace_limits import (
     orthonormalize,
     parity_split_example,
     project,
-    projection_norm_sq,
     self_projection_volume_check,
-    statistical_converges,
     subspace_i_converges,
-    usual_converges,
 )
 from subspace_limits.cli import main
 from test_ideals import certified_family
@@ -140,8 +137,9 @@ def test_criterion_3_identity_suite():
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
         p = project(u, V)
-        worst_proj = max(worst_proj, abs(projection_norm_sq(u, V) - float(p @ p)))
-        total = n_norm(np.vstack([u, V.basis])) ** 2 + projection_norm_sq(u, V)
+        c = V.basis @ u  # coefficients <u, v_j>
+        worst_proj = max(worst_proj, abs(float(c @ c) - float(p @ p)))
+        total = n_norm(np.vstack([u, V.basis])) ** 2 + c @ c
         worst_vol = max(worst_vol, abs(total - 1.0))
     _report(
         3,
@@ -188,7 +186,7 @@ def test_criterion_5_parity_split_phenomenon():
         v.mode.value == "exact" and v.status is Status.IN_IDEAL for _, v in rows
     )
 
-    density = statistical_converges(seq, V, horizon=horizon)
+    density = subspace_i_converges(seq, V, Ideal.density(), horizon=horizon)
     half_rows = [
         v for eps, v in density.criteria[0].per_vector[0].per_epsilon if eps == 0.5
     ]
@@ -198,7 +196,7 @@ def test_criterion_5_parity_split_phenomenon():
         and 0.49 <= final_density <= 0.51
     )
 
-    finite = usual_converges(seq, V, horizon=horizon)
+    finite = subspace_i_converges(seq, V, Ideal.finite(), horizon=horizon)
     finite_ok = finite.overall is Verdict.DOES_NOT_CONVERGE
 
     printed_seq, printed_V, _ = parity_split_example("printed")
@@ -243,29 +241,22 @@ def test_criterion_7_checker_coincidences_and_hierarchy(battery_with_traces):
     ok = True
     usual_converging = []
     for member, traces in battery_with_traces:
-        finite_rep = subspace_i_converges(
-            member.seq, member.limit, Ideal.finite(), horizon=BATTERY_HORIZON
-        )
-        usual_rep = usual_converges(member.seq, member.limit, horizon=BATTERY_HORIZON)
-        density_rep = subspace_i_converges(
-            member.seq, member.limit, Ideal.density(), horizon=BATTERY_HORIZON
-        )
-        statistical_rep = statistical_converges(
-            member.seq, member.limit, horizon=BATTERY_HORIZON
-        )
-
         def rows(rep):
             return [
                 (eps, v.status, v.mode)
                 for eps, v in rep.criteria[0].per_vector[0].per_epsilon
             ]
 
-        ok = ok and usual_rep.overall is finite_rep.overall
-        ok = ok and rows(usual_rep) == rows(finite_rep)
-        ok = ok and statistical_rep.overall is density_rep.overall
-        ok = ok and rows(statistical_rep) == rows(density_rep)
-        if usual_rep.overall is Verdict.CONVERGES:
-            usual_converging.append((member, traces))
+        # the gap checker and the suite's gap row coincide, fresh or on cached traces
+        for ideal in (Ideal.finite(), Ideal.density()):
+            rep = subspace_i_converges(member.seq, member.limit, ideal, horizon=BATTERY_HORIZON)
+            suite = equivalence_suite(
+                member.seq, member.limit, ideal, horizon=BATTERY_HORIZON, traces=traces
+            )
+            ok = ok and rep.overall is suite.criteria[0].overall
+            ok = ok and rows(rep) == rows(suite)
+            if ideal.kind == "finite" and rep.overall is Verdict.CONVERGES:
+                usual_converging.append((member, traces))
 
     hierarchy_ok = len(usual_converging) > 0
     for member, traces in usual_converging:
@@ -277,7 +268,7 @@ def test_criterion_7_checker_coincidences_and_hierarchy(battery_with_traces):
 
     _report(
         7,
-        f"usual == finite-ideal and statistical == density-ideal verdicts on all 20 "
+        f"gap checker == suite gap row under the finite and density ideals on all 20 "
         f"members; {len(usual_converging)} usually-convergent members converge under "
         f"every ideal",
         ok and hierarchy_ok,

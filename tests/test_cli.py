@@ -314,6 +314,11 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
             "eps_grid",
         ),
         ({"eps_grid": [math.inf, 0.5]}, ["parity-split", "--eps", "inf,0.5"], "eps_grid"),
+        # a bool is not a number: these used to run as eps = 1, k = 1, d = 4 and seed = 2
+        ({"eps_grid": [True, 0.5]}, None, "eps_grid"),
+        (rotating(k=True), None, "sequence.params.k"),
+        (rotating(ambient_dim="4"), None, "sequence.params.ambient_dim"),
+        (rotating(seed=2.9), None, "sequence.params.seed"),
         # tau changes only the density ideal's verdicts
         (
             {"ideal": {"kind": "blocks", "tau": 0.2}},
@@ -351,6 +356,10 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "profile-even-exponent-bool",
         "eps-nan",
         "eps-inf",
+        "eps-bool",
+        "params-k-bool",
+        "params-ambient-dim-string",
+        "params-seed-float",
         "tau-with-blocks",
         "tau-with-finite",
     ],
@@ -483,6 +492,91 @@ def test_report_round_trip(tmp_path):
     assert report_verdicts(doc) == report_verdicts(json.loads(again))
 
 
+def _cert(bound):
+    return f"subset of blocks [1] | empty beyond {bound}"
+
+
+def _unsettled(bound, kind):
+    return (
+        f"certificate ({_cert(bound)}) is consistent but does not settle "
+        f"membership in the {kind} ideal"
+    )
+
+
+_EVERY_WINDOW = "members keep appearing at every dyadic checkpoint"
+_DENSE = "density at least 2*tau at every dyadic checkpoint"
+_NOT_IN = ("not_in_ideal", "empirical")
+_IN_EXACT = ("in_ideal", "exact")
+
+# The ideal block and every per-eps verdict of `analyze` on parity-split at
+# horizon 64 under the default eps grid, pinned so that no change to how an
+# ideal decides membership moves a report unnoticed. Evidence holds only
+# integers and count/j ratios, so it is the same on every platform.
+PINNED_REPORTS = {
+    ("amended", "finite", None): ({"kind": "finite"}, [
+        (*_NOT_IN, {"certificate_note": _unsettled(2, "finite"), "horizon": 64,
+                    "last_member": 63, "member_count": 32, "note": _EVERY_WINDOW,
+                    "window": 12}),
+        (*_NOT_IN, {"certificate_note": _unsettled(10, "finite"), "horizon": 64,
+                    "last_member": 63, "member_count": 35, "note": _EVERY_WINDOW,
+                    "window": 12}),
+        (*_NOT_IN, {"certificate_note": _unsettled(100, "finite"), "horizon": 64,
+                    "last_member": 64, "member_count": 57, "note": _EVERY_WINDOW,
+                    "window": 12}),
+    ]),
+    ("amended", "density", None): ({"kind": "density", "tau": 0.01}, [
+        (*_NOT_IN, {"certificate_note": _unsettled(2, "density"),
+                    "checkpoints": [[4, 0.5], [8, 0.5], [16, 0.5], [32, 0.5], [64, 0.5]],
+                    "final_density": 0.5, "horizon": 64, "member_count": 32,
+                    "note": _DENSE, "tau": 0.01}),
+        (*_NOT_IN, {"certificate_note": _unsettled(10, "density"),
+                    "checkpoints": [[4, 1.0], [8, 0.875], [16, 0.6875], [32, 0.59375],
+                                    [64, 0.546875]],
+                    "final_density": 0.546875, "horizon": 64, "member_count": 35,
+                    "note": _DENSE, "tau": 0.01}),
+        (*_NOT_IN, {"certificate_note": _unsettled(100, "density"),
+                    "checkpoints": [[4, 1.0], [8, 1.0], [16, 1.0], [32, 0.9375],
+                                    [64, 0.890625]],
+                    "final_density": 0.890625, "horizon": 64, "member_count": 57,
+                    "note": _DENSE, "tau": 0.01}),
+    ]),
+    ("amended", "blocks", None): ({"kind": "blocks"}, [
+        (*_IN_EXACT, {"certificate": _cert(2), "horizon": 64, "member_count": 32}),
+        (*_IN_EXACT, {"certificate": _cert(10), "horizon": 64, "member_count": 35}),
+        (*_IN_EXACT, {"certificate": _cert(100), "horizon": 64, "member_count": 57}),
+    ]),
+    ("printed", "density", "0.05"): ({"kind": "density", "tau": 0.05}, [
+        (*_NOT_IN, {"checkpoints": [[4, 1.0], [8, 0.875], [16, 0.75], [32, 0.78125],
+                                    [64, 0.78125]],
+                    "final_density": 0.78125, "horizon": 64, "member_count": 50,
+                    "note": _DENSE, "tau": 0.05}),
+        (*_NOT_IN, {"checkpoints": [[4, 1.0], [8, 1.0], [16, 1.0], [32, 0.96875],
+                                    [64, 0.96875]],
+                    "final_density": 0.96875, "horizon": 64, "member_count": 62,
+                    "note": _DENSE, "tau": 0.05}),
+        (*_NOT_IN, {"checkpoints": [[4, 1.0], [8, 1.0], [16, 1.0], [32, 0.96875],
+                                    [64, 0.984375]],
+                    "final_density": 0.984375, "horizon": 64, "member_count": 63,
+                    "note": _DENSE, "tau": 0.05}),
+    ]),
+}
+
+
+@pytest.mark.parametrize(
+    "variant, kind, tau", list(PINNED_REPORTS), ids=lambda v: str(v)
+)
+def test_report_verdicts_are_pinned(tmp_path, variant, kind, tau):
+    flags = ["--variant", variant, "--ideal", kind] + (["--tau", tau] if tau else [])
+    out = tmp_path / "out"
+    main(["analyze", "parity-split", *flags, "--horizon", "64", "--out-dir", str(out)])
+    doc = read_report(out / "report.json")
+    ideal, rows = PINNED_REPORTS[variant, kind, tau]
+    assert doc["ideal"] == ideal
+    got = doc["criteria"][0]["per_vector"][0]["per_epsilon"]
+    assert [e["epsilon"] for e in got] == [0.5, 0.1, 0.01]
+    assert [(e["status"], e["mode"], e["evidence"]) for e in got] == rows
+
+
 def test_trace_floats_have_full_precision(tmp_path):
     out = tmp_path / "out"
     main(["analyze", "parity-split", "--horizon", "100", "--out-dir", str(out)])
@@ -544,7 +638,7 @@ def test_example_emits_runnable_config(tmp_path, capsys):
     cfg.out_dir = str(tmp_path / "out")
     seq, V, ideal = build_experiment(cfg)
     assert seq.k == 1 and V.ambient_dim == 3
-    assert ideal.kind.value == "blocks"
+    assert ideal.kind == "blocks"
 
 
 def test_example_unknown_name(capsys):

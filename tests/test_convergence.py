@@ -36,9 +36,7 @@ from subspace_limits import (
     parity_split_example,
     scalar_i_limit,
     self_projection_volume_check,
-    statistical_converges,
     subspace_i_converges,
-    usual_converges,
 )
 from subspace_limits import convergence
 from subspace_limits.cli import rotating_family
@@ -262,16 +260,16 @@ def test_orthogonal_constant_diverges_under_every_ideal():
 
 def test_parity_split_amended_verdicts():
     seq, V, recommended = parity_split_example("amended")
-    assert recommended.kind.value == "blocks"
+    assert recommended.kind == "blocks"
     blocks = subspace_i_converges(seq, V, recommended, horizon=10_000)
     assert blocks.overall is Verdict.CONVERGES
     assert all(
         v.mode.value == "exact"
         for _, v in blocks.criteria[0].per_vector[0].per_epsilon
     )
-    density = statistical_converges(seq, V, horizon=10_000)
+    density = subspace_i_converges(seq, V, Ideal.density(), horizon=10_000)
     assert density.overall is Verdict.DOES_NOT_CONVERGE
-    finite = usual_converges(seq, V, horizon=10_000)
+    finite = subspace_i_converges(seq, V, Ideal.finite(), horizon=10_000)
     assert finite.overall is Verdict.DOES_NOT_CONVERGE
 
 
@@ -288,8 +286,10 @@ def test_statistical_convergence_tolerates_square_indices():
         return V
 
     seq = SubspaceSequence(3, 1, rule, description="diverges on squares")
-    assert statistical_converges(seq, V, horizon=10_000).overall is Verdict.CONVERGES
-    assert usual_converges(seq, V, horizon=10_000).overall is Verdict.DOES_NOT_CONVERGE
+    density = subspace_i_converges(seq, V, Ideal.density(), horizon=10_000)
+    assert density.overall is Verdict.CONVERGES
+    finite = subspace_i_converges(seq, V, Ideal.finite(), horizon=10_000)
+    assert finite.overall is Verdict.DOES_NOT_CONVERGE
 
 
 def test_usual_convergence_of_reciprocal_gap_trace():
@@ -297,7 +297,7 @@ def test_usual_convergence_of_reciprocal_gap_trace():
     member = make_member(
         "reciprocal", 3, 1, 60, power_profile([1.0], 1.0)[0], None, {}
     )
-    rep = usual_converges(member.seq, member.limit, horizon=1000)
+    rep = subspace_i_converges(member.seq, member.limit, Ideal.finite(), horizon=1000)
     assert rep.overall is Verdict.CONVERGES
 
 
@@ -309,20 +309,17 @@ def test_parity_split_printed_gap_does_not_decay():
 
 
 def test_checker_coincidences():
+    # the three checkers are row sets of one judging path: they agree on the gap
     seq, V, _ = parity_split_example("amended")
-    finite = subspace_i_converges(seq, V, Ideal.finite(), horizon=2000)
-    usual = usual_converges(seq, V, horizon=2000)
-    assert usual.overall is finite.overall
-    assert [
-        (e, v.status) for e, v in usual.criteria[0].per_vector[0].per_epsilon
-    ] == [(e, v.status) for e, v in finite.criteria[0].per_vector[0].per_epsilon]
-
-    density = subspace_i_converges(seq, V, Ideal.density(), horizon=2000)
-    statistical = statistical_converges(seq, V, horizon=2000)
-    assert statistical.overall is density.overall
-    assert [
-        (e, v.status) for e, v in statistical.criteria[0].per_vector[0].per_epsilon
-    ] == [(e, v.status) for e, v in density.criteria[0].per_vector[0].per_epsilon]
+    for ideal in (Ideal.finite(), Ideal.density()):
+        gap_rep = subspace_i_converges(seq, V, ideal, horizon=2000)
+        suite = equivalence_suite(seq, V, ideal, horizon=2000)
+        volume = self_projection_volume_check(seq, V, ideal, horizon=2000)
+        assert suite.criteria[0].overall is gap_rep.overall
+        assert volume.subspace_overall is gap_rep.overall
+        assert [
+            (e, v.status) for e, v in suite.criteria[0].per_vector[0].per_epsilon
+        ] == [(e, v.status) for e, v in gap_rep.criteria[0].per_vector[0].per_epsilon]
 
 
 # ---------------------------------------------------------------------------

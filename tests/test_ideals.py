@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspace_limits import (
+    IDEALS,
     CertificateError,
     EmptyTail,
     Ideal,
@@ -17,7 +18,6 @@ from subspace_limits import (
     axioms_check,
     block_index,
     decide_membership,
-    density_estimate,
     filter_contains,
     partial_density,
 )
@@ -226,26 +226,39 @@ def test_partial_density_beyond_horizon():
         partial_density(IndexSet(10, [1]), 11)
 
 
+def density_evidence(P):
+    """The density ideal's empirical evidence for P: final density and dyadic trail."""
+    return decide_membership(Ideal.density(), P).evidence
+
+
 def test_density_estimate_odds():
-    est = density_estimate(odds(1000))
-    assert est.estimate == pytest.approx(0.5, abs=1e-3)
+    assert density_evidence(odds(1000))["final_density"] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_density_estimate_empty():
-    assert density_estimate(IndexSet(1000, [])).estimate == 0.0
+    evidence = density_evidence(IndexSet(1000, []))
+    assert evidence["final_density"] == 0.0
+    assert evidence["checkpoints"] == [(62, 0.0), (125, 0.0), (250, 0.0), (500, 0.0), (1000, 0.0)]
 
 
 def test_density_estimate_squares_decreasing():
     squares = IndexSet(10_000, [i * i for i in range(1, 101)])
-    est = density_estimate(squares)
-    assert est.estimate == pytest.approx(0.01)
-    densities = [d for _, d in est.checkpoints]
+    evidence = density_evidence(squares)
+    assert evidence["final_density"] == pytest.approx(0.01)
+    # the trail is the partial density at each dyadic checkpoint
+    trail = evidence["checkpoints"]
+    assert [j for j, _ in trail] == [625, 1250, 2500, 5000, 10_000]
+    assert trail == [(j, partial_density(squares, j)) for j, _ in trail]
+    densities = [d for _, d in trail]
     assert all(a >= b for a, b in zip(densities, densities[1:]))
 
 
 def test_density_estimate_needs_room():
-    with pytest.raises(ValueError):
-        density_estimate(IndexSet(8, [1]))
+    # a dyadic trail needs a horizon of at least 16
+    evidence = density_evidence(IndexSet(8, [1]))
+    assert "checkpoints" not in evidence and "final_density" not in evidence
+    assert decide_membership(Ideal.density(), IndexSet(8, [1])).status is Status.INCONCLUSIVE
+    assert len(density_evidence(IndexSet(16, [1]))["checkpoints"]) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +444,9 @@ def certified_family(horizon):
 
 def test_axioms_pass_for_all_kinds():
     horizon = 1000
-    for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
+    for kind, cls in IDEALS.items():
+        ideal = cls()
+        assert ideal.kind == kind and ideal.describe()["kind"] == kind
         report = axioms_check(ideal, certified_family(horizon))
         assert report.passed, [c for c in report.checks if not c.passed]
 
@@ -458,3 +473,7 @@ def test_ideal_parameter_validation():
         Ideal.density(tau=0.7)
     with pytest.raises(ValueError):
         Ideal.density(tau=0.0)
+    # tau is a field of the density ideal alone
+    for kind in ("finite", "blocks"):
+        with pytest.raises(TypeError):
+            IDEALS[kind](tau=0.2)

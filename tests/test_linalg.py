@@ -12,15 +12,12 @@ from subspace_limits import (
     DimensionMismatchError,
     RankDeficiencyError,
     Subspace,
+    det_bruteforce,
     dist_point_subspace,
     gap,
-    gram_matrix,
-    gramian,
-    inner,
     n_norm,
     orthonormalize,
     project,
-    projection_norm_sq,
 )
 from subspace_limits.linalg import TOL_ORTHO, first_non_orthonormal, residual_gap
 
@@ -48,44 +45,6 @@ def tilted_pair(seed, d, k, size):
     s[rng.integers(k)] = size
     rows = np.sqrt(1.0 - s * s)[:, None] * frame[:k] + s[:, None] * frame[k : 2 * k]
     return Subspace(random_orthogonal(rng, k) @ rows), Subspace(frame[:k]), size
-
-
-# ---------------------------------------------------------------------------
-# inner
-
-
-def test_inner_unit_vectors():
-    assert inner(E1, E1) == 1.0
-    assert inner(E1, E2) == 0.0
-
-
-def test_inner_hand_value():
-    assert inner((1, 2), (3, 4)) == 11.0
-
-
-def test_inner_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        inner((1, 2), (1, 2, 3))
-
-
-def test_inner_rejects_non_finite():
-    with pytest.raises(ValueError):
-        inner((1.0, float("nan")), (1.0, 1.0))
-
-
-@given(
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-)
-def test_inner_symmetric(xs, ys):
-    n = min(len(xs), len(ys))
-    u, v = xs[:n], ys[:n]
-    assert inner(u, v) == inner(v, u)
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
-def test_inner_self_nonnegative(xs):
-    assert inner(xs, xs) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +241,20 @@ def test_pythagoras():
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
         lhs = np.dot(u, u)
-        rhs = projection_norm_sq(u, V) + dist_point_subspace(u, V) ** 2
+        c = V.basis @ u  # coefficients <u, v_j>
+        rhs = c @ c + dist_point_subspace(u, V) ** 2
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
 
 def test_projection_norm_sq_values():
-    assert projection_norm_sq(E1, orthonormalize([E1])) == pytest.approx(1.0)
-    assert projection_norm_sq(E1, orthonormalize([E2])) == pytest.approx(0.0)
+    def norm_sq(u, V):
+        p = project(u, V)
+        return float(p @ p)
+
+    assert norm_sq(E1, orthonormalize([E1])) == pytest.approx(1.0)
+    assert norm_sq(E1, orthonormalize([E2])) == pytest.approx(0.0)
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert projection_norm_sq(u, orthonormalize([E1])) == pytest.approx(0.5)
+    assert norm_sq(u, orthonormalize([E1])) == pytest.approx(0.5)
 
 
 def test_projection_norm_identity():
@@ -302,7 +266,8 @@ def test_projection_norm_identity():
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
         p = project(u, V)
-        assert abs(projection_norm_sq(u, V) - float(p @ p)) <= 1e-12
+        c = V.basis @ u
+        assert abs(float(c @ c) - float(p @ p)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -442,49 +407,50 @@ def test_residual_gap_of_one_row_is_its_norm():
 
 
 # ---------------------------------------------------------------------------
-# Gramian / joint norm
+# Gram determinant / joint norm
+
+
+def gram_det(vectors):
+    """The Gram determinant det(X X^T), expanded by the oracle."""
+    X = np.asarray(vectors, dtype=float)
+    return det_bruteforce(X @ X.T)
 
 
 def test_gramian_identity_basis():
-    assert gramian([E1, E2]) == pytest.approx(1.0)
+    assert gram_det([E1, E2]) == pytest.approx(1.0)
+    assert n_norm([E1, E2]) ** 2 == pytest.approx(1.0)
 
 
 def test_gramian_dependent_vectors():
     u = np.array([1.0, 2.0, 3.0])
-    assert gramian([u, u]) == pytest.approx(0.0, abs=1e-12)
+    assert gram_det([u, u]) == pytest.approx(0.0, abs=1e-12)
+    assert n_norm([u, u]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gramian_hand_value():
     # Gram matrix of (1,1), (1,0) is [[2, 1], [1, 1]]
-    np.testing.assert_allclose(
-        gram_matrix([(1.0, 1.0), (1.0, 0.0)]), [[2.0, 1.0], [1.0, 1.0]]
-    )
-    assert gramian([(1.0, 1.0), (1.0, 0.0)]) == pytest.approx(1.0)
-
-
-def test_gram_matrix_symmetric_psd():
-    rng = np.random.default_rng(20)
-    for _ in range(200):
-        d = int(rng.integers(2, 7))
-        k = int(rng.integers(1, d + 1))
-        G = gram_matrix(rng.standard_normal((k, d)))
-        assert np.max(np.abs(G - G.T)) <= 1e-12
-        assert np.linalg.eigvalsh(G).min() >= -1e-10
+    assert det_bruteforce([[2.0, 1.0], [1.0, 1.0]]) == pytest.approx(1.0)
+    assert gram_det([(1.0, 1.0), (1.0, 0.0)]) == pytest.approx(1.0)
+    assert n_norm([(1.0, 1.0), (1.0, 0.0)]) ** 2 == pytest.approx(1.0)
 
 
 def test_gramian_nonnegative_and_dependence():
+    # the squared joint norm is the Gram determinant, which vanishes on dependence
     rng = np.random.default_rng(16)
     for _ in range(200):
         d = int(rng.integers(2, 7))
         k = int(rng.integers(1, d + 1))
         vectors = rng.standard_normal((k, d))
-        g = gramian(vectors)
+        g = gram_det(vectors)
         assert g >= -1e-10
+        assert n_norm(vectors) ** 2 == pytest.approx(g, rel=1e-9, abs=1e-12)
         coeffs = rng.standard_normal(k)
         dependent = np.vstack([vectors, coeffs @ vectors])
         if dependent.shape[0] <= d:
-            scale = max(1.0, abs(gramian(vectors)))
-            assert abs(gramian(dependent)) <= 1e-10 * scale * np.sum(coeffs**2 + 1)
+            scale = max(1.0, abs(g))
+            bound = 1e-10 * scale * np.sum(coeffs**2 + 1)
+            assert abs(gram_det(dependent)) <= bound
+            assert n_norm(dependent) ** 2 <= bound
 
 
 def test_gramian_scaling_quadratic():
@@ -496,8 +462,9 @@ def test_gramian_scaling_quadratic():
         c = float(rng.uniform(0.5, 2.0))
         scaled = vectors.copy()
         scaled[0] *= c
-        expected = c * c * gramian(vectors)
-        assert gramian(scaled) == pytest.approx(expected, rel=1e-9)
+        expected = c * c * gram_det(vectors)
+        assert gram_det(scaled) == pytest.approx(expected, rel=1e-9)
+        assert n_norm(scaled) ** 2 == pytest.approx(expected, rel=1e-9)
 
 
 def test_n_norm_orthonormal_family():
@@ -532,5 +499,6 @@ def test_volume_plus_alignment_identity():
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
-        total = n_norm(np.vstack([u, V.basis])) ** 2 + projection_norm_sq(u, V)
+        c = V.basis @ u
+        total = n_norm(np.vstack([u, V.basis])) ** 2 + c @ c
         assert abs(total - 1.0) <= 1e-10
