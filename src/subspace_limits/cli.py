@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .convergence import (
     DEFAULT_EPS_GRID,
-    DEFAULT_HORIZON,
+    PARITY_VARIANTS,
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
@@ -96,38 +96,30 @@ def _number(value, field: str, integer: bool = False):
 # --------------------------------------------------------------------------
 # Built-in sequences and parametric families
 
+# One row per built-in: its builder, the variants the builder takes (the first
+# is the default), the default ideal kind and horizon, and a summary.
 BUILTIN_SEQUENCES = {
     "parity-split": {
         "builder": parity_split_example,
-        "takes_variant": True,
+        "variants": PARITY_VARIANTS,
+        "ideal": "blocks",
+        "horizon": 10000,
         "summary": (
             "line in R^3: orthogonal to the limit on odd n, tilted toward it "
             "on even n; converges under the block ideal (amended variant) but "
             "not statistically and not in the usual sense"
         ),
-        "default_config": {
-            "sequence": {"builtin": "parity-split", "variant": "amended"},
-            "ideal": {"kind": "blocks"},
-            "horizon": 10000,
-            "eps_grid": list(DEFAULT_EPS_GRID),
-            "out_dir": "out",
-        },
     },
     "orthogonal-constant": {
-        "builder": lambda: constant_orthogonal_example() + (None,),
-        "takes_variant": False,
+        "builder": constant_orthogonal_example,
+        "variants": (),
+        "ideal": "density",
+        "horizon": 1000,
         "summary": (
             "constant line span{e1} in R^2 against V = span{e2}: gap is "
             "identically 1, the self-projection volumes are identically 0; "
             "witnesses the one-way direction of the volume check"
         ),
-        "default_config": {
-            "sequence": {"builtin": "orthogonal-constant"},
-            "ideal": {"kind": "density"},
-            "horizon": 1000,
-            "eps_grid": list(DEFAULT_EPS_GRID),
-            "out_dir": "out",
-        },
     },
 }
 
@@ -143,6 +135,19 @@ def _builtin(name) -> dict:
     return entry
 
 
+def _builtin_config(name) -> dict:
+    """The config document a built-in runs with when no flag overrides its defaults."""
+    entry = _builtin(name)
+    variant = {"variant": entry["variants"][0]} if entry["variants"] else {}
+    return {
+        "sequence": {"builtin": name, **variant},
+        "ideal": {"kind": entry["ideal"]},
+        "horizon": entry["horizon"],
+        "eps_grid": list(DEFAULT_EPS_GRID),
+        "out_dir": "out",
+    }
+
+
 _PROFILE_KEYS = {
     "constant": ("kind", "value"),
     "power_decay": ("kind", "scale", "exponent"),
@@ -155,7 +160,8 @@ def _sine_profile(profile: dict, k: int):
     field = "sequence.params.profile"
     kind = profile.get("kind") if isinstance(profile, dict) else None
     # report an unknown kind below, before any of its keys
-    _object(profile, field, _PROFILE_KEYS.get(kind, profile))
+    keys = _PROFILE_KEYS.get(kind) if isinstance(kind, str) else None
+    _object(profile, field, keys or profile)
 
     def per_vector(value, name) -> np.ndarray:
         values = value if isinstance(value, list) else [value]
@@ -213,6 +219,8 @@ def rotating_family(
     Values are real numbers (not bools), or lists of k for ``value``, ``scale``,
     ``odd_value`` and ``even_scale``; anything else is a ConfigError.
     """
+    if k < 1:
+        raise ConfigError("sequence.params.k", "must be >= 1")
     if ambient_dim < 2 * k:
         raise ConfigError(
             "sequence.params.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
@@ -236,8 +244,6 @@ def rotating_family(
         return np.sqrt(1.0 - s * s) * V.basis + s * companions
 
     seq = SubspaceSequence(
-        ambient_dim=ambient_dim,
-        k=k,
         batch_rule=batch_rule,
         description=f"rotating family (k={k}, d={ambient_dim}, seed={seed}, "
         f"profile={profile.get('kind')})",
@@ -268,7 +274,7 @@ class ExperimentConfig:
         if "builtin" in self.sequence:
             _object(self.sequence, "sequence", ("builtin", "variant"))
             name = self.sequence["builtin"]
-            if self.sequence.get("variant") is not None and not _builtin(name)["takes_variant"]:
+            if self.sequence.get("variant") is not None and not _builtin(name)["variants"]:
                 raise ConfigError("sequence.variant", f"{name!r} takes no variant")
         else:
             _object(self.sequence, "sequence", ("family", "params"))
@@ -335,7 +341,7 @@ def build_experiment(cfg: ExperimentConfig):
     # an ideal has at most one field, so a rejected value is the one named here
     with _config_field(".".join(["ideal", *params])):
         ideal = IDEALS[cfg.ideal["kind"]](**params)
-    limit_rows = None
+    limit_rows = limit = None
     if cfg.limit_basis is not None:
         try:
             limit_rows = np.asarray(cfg.limit_basis, dtype=float)
@@ -343,14 +349,17 @@ def build_experiment(cfg: ExperimentConfig):
             raise ConfigError("limit_basis", "must be a numeric matrix (rows)") from None
         if limit_rows.ndim != 2:
             raise ConfigError("limit_basis", "must be a list of basis rows")
+        # non-finite or dependent rows, named here for the rotating family too
+        with _config_field("limit_basis"):
+            limit = orthonormalize(limit_rows)
 
     if "builtin" in cfg.sequence:
         builder = _builtin(cfg.sequence["builtin"])["builder"]
         variant = cfg.sequence.get("variant")
         with _config_field("sequence.variant"):
-            seq, V, _ = builder() if variant is None else builder(variant)
-        if limit_rows is not None:
-            V = orthonormalize(limit_rows)
+            seq, V = (builder() if variant is None else builder(variant))[:2]
+        if limit is not None:
+            V = limit
             if V.ambient_dim != seq.ambient_dim or V.k != seq.k:
                 raise ConfigError(
                     "limit_basis",
@@ -515,17 +524,14 @@ def _config_from_args(args) -> ExperimentConfig:
     elif args.builtin is None:
         raise ConfigError("sequence", "give a builtin name or --config FILE")
     else:
-        default_ideal = _builtin(args.builtin)["default_config"]["ideal"]["kind"]
-        ideal: dict = {"kind": args.ideal or default_ideal}
-        if args.tau is not None:
-            ideal["tau"] = args.tau
-        doc = {
-            # a null variant means the builtin's default, as in a config file
-            "sequence": {"builtin": args.builtin, "variant": args.variant},
-            "ideal": ideal,
-            "horizon": DEFAULT_HORIZON if args.horizon is None else args.horizon,
-            "eps_grid": list(DEFAULT_EPS_GRID) if args.eps is None else _parse_eps(args.eps),
-        }
+        # the built-in's own config, with only the flags given laid over it
+        doc = _builtin_config(args.builtin)
+        for flag, field in _FLAG_FIELDS.items():
+            value = getattr(args, flag)
+            if value is not None:
+                *section, key = field.split(".")
+                place = doc[section[0]] if section else doc
+                place[key] = _parse_eps(value) if flag == "eps" else value
     if args.out_dir is not None:
         doc["out_dir"] = args.out_dir
     return _validated(doc)
@@ -615,7 +621,7 @@ def cmd_example(args) -> int:
     print(f"{args.name}: {entry['summary']}")
     if args.emit_config:
         path = Path(args.emit_config)
-        path.write_text(json.dumps(entry["default_config"], indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(_builtin_config(args.name), indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
     return EXIT_CONVERGES
 
@@ -641,8 +647,8 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--variant",
-        choices=("printed", "amended"),
-        help="variant for built-ins that take one (default: amended)",
+        choices=list(dict.fromkeys(v for e in BUILTIN_SEQUENCES.values() for v in e["variants"])),
+        help="variant for built-ins that take one (default: the built-in's first)",
     )
     sub.add_argument(
         "--ideal",
@@ -650,7 +656,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
         help="ideal to judge exceptional sets against (default: the built-in's choice)",
     )
     sub.add_argument("--tau", type=float, help="density threshold (density ideal only)")
-    sub.add_argument("--horizon", type=int, help="number of indices to evaluate")
+    sub.add_argument("--horizon", type=int, help="indices to evaluate (default: the built-in's)")
     sub.add_argument("--eps", help="comma-separated, strictly decreasing epsilon grid")
     sub.add_argument("--out-dir", help="directory for report and trace files")
 

@@ -80,18 +80,19 @@ class SubspaceSequence:
 
     Give ``rule`` or ``batch_rule``, not both. ``batch_rule`` maps ns (m,) to bases
     (m, k, d), checked per trace chunk as ``Subspace`` checks one; ``rule`` derives from it.
+    ``k`` and ``ambient_dim`` are read off ``rule(1)``; every index must match them.
     ``exceptional_certificate`` optionally maps eps to a tail certificate
     for the set {n : gap(U_n, V) >= eps} against the sequence's intended
     limit, or to None where it has none; it is what makes exact
     convergence verdicts possible. It is read once per eps of a grid.
     """
 
-    ambient_dim: int
-    k: int
     rule: Optional[Callable[[int], Subspace]] = None
     exceptional_certificate: Optional[Callable[[float], TailCertificate]] = None
     description: str = ""
     batch_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    k: int = field(init=False)
+    ambient_dim: int = field(init=False)
 
     def __post_init__(self):
         derived = isinstance(self.rule, partial) and self.rule.func is _batch_rule_at
@@ -102,11 +103,8 @@ class SubspaceSequence:
         probe = _call_rule(self.rule, 1)
         if not isinstance(probe, Subspace):
             raise ValueError(f"rule(1) returned {probe!r}, expected a Subspace")
-        if probe.ambient_dim != self.ambient_dim or probe.k != self.k:
-            raise ValueError(
-                f"rule(1) returned k={probe.k} in dimension {probe.ambient_dim}, "
-                f"declared k={self.k}, d={self.ambient_dim}"
-            )
+        object.__setattr__(self, "k", probe.k)
+        object.__setattr__(self, "ambient_dim", probe.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -331,7 +329,7 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
     if V.ambient_dim != seq.ambient_dim or V.k != seq.k:
         raise linalg.DimensionMismatchError(
             f"candidate limit has k={V.k}, d={V.ambient_dim}; "
-            f"sequence declares k={seq.k}, d={seq.ambient_dim}"
+            f"sequence has k={seq.k}, d={seq.ambient_dim}"
         )
     k, d = seq.k, seq.ambient_dim
     B = V.basis
@@ -519,6 +517,9 @@ def self_projection_volume_check(
 # --------------------------------------------------------------------------
 # Built-in sequences
 
+# parity_split_example's variants; the first is its default
+PARITY_VARIANTS = ("amended", "printed")
+
 
 def parity_split_example(variant: str = "amended"):
     """Line sequence in R^3 whose behavior depends on the parity of n.
@@ -540,8 +541,8 @@ def parity_split_example(variant: str = "amended"):
     printed variant gets no certificate because its even-index gaps do
     not decay. Returns (sequence, candidate limit, recommended ideal).
     """
-    if variant not in ("printed", "amended"):
-        raise ValueError(f"variant must be 'printed' or 'amended', got {variant!r}")
+    if variant not in PARITY_VARIANTS:
+        raise ValueError(f"variant must be one of {PARITY_VARIANTS}, got {variant!r}")
     V = Subspace(np.array([[0.0, 1.0, 0.0]]))
 
     def batch_rule(ns: np.ndarray) -> np.ndarray:
@@ -563,8 +564,6 @@ def parity_split_example(variant: str = "amended"):
             )
 
     seq = SubspaceSequence(
-        ambient_dim=3,
-        k=1,
         batch_rule=batch_rule,
         exceptional_certificate=certificate,
         description=f"parity-split line in R^3 ({variant} variant)",
@@ -583,8 +582,6 @@ def constant_orthogonal_example():
     """
     V = Subspace(np.array([[0.0, 1.0]]))
     seq = SubspaceSequence(
-        ambient_dim=2,
-        k=1,
         batch_rule=lambda ns: np.broadcast_to([[1.0, 0.0]], (len(ns), 1, 2)),
         description="constant line span{e1} in R^2",
     )

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_ORTHO = 1e-10      # max |B B^T - I| entry allowed in an orthonormal basis
-RANK_TOL = 1e-8        # elimination residual below which a vector is dependent
-SUBSPACE_EQ_TOL = 1e-8  # gap threshold under which two subspaces count as equal
+TOL_ORTHO = 1e-10  # max |B B^T - I| entry allowed in an orthonormal basis
+RANK_TOL = 1e-8    # elimination residual below which a vector is dependent
 
 
 class DimensionMismatchError(ValueError):
@@ -88,10 +87,6 @@ class Subspace:
     @property
     def k(self) -> int:
         return int(self.basis.shape[0])
-
-    def same_span(self, other: "Subspace") -> bool:
-        """True when both bases span the same subspace (gap within SUBSPACE_EQ_TOL)."""
-        return gap(self, other) <= SUBSPACE_EQ_TOL
 
     def __repr__(self) -> str:  # keep reprs short; bases can be large
         return f"Subspace(k={self.k}, ambient_dim={self.ambient_dim})"

@@ -81,13 +81,7 @@ def make_member(name, d, k, seed, sines, certificate=None, expected=None) -> Bat
         basis[:t] = basis[:t] + s[:t, None] * companions
         return Subspace(basis)
 
-    seq = SubspaceSequence(
-        ambient_dim=d,
-        k=k,
-        rule=rule,
-        exceptional_certificate=certificate,
-        description=name,
-    )
+    seq = SubspaceSequence(rule=rule, exceptional_certificate=certificate, description=name)
     return BatteryMember(name, seq, V, dict(expected))
 
 

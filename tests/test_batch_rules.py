@@ -129,7 +129,7 @@ def line_sequence(bad_bases):
             out[ns == n] = basis
         return out
 
-    return SubspaceSequence(2, 1, batch_rule=batch_rule)
+    return SubspaceSequence(batch_rule=batch_rule)
 
 
 def subspace_message(basis):
@@ -195,10 +195,10 @@ def test_batch_rule_failure_is_a_rule_error(monkeypatch):
 
 def test_sequence_takes_exactly_one_rule():
     lines = line_sequence({})
-    per_index = SubspaceSequence(2, 1, rule=lambda n: Subspace(np.array([[1.0, 0.0]])))
+    per_index = SubspaceSequence(rule=lambda n: Subspace(np.array([[1.0, 0.0]])))
     for make in [
-        lambda: SubspaceSequence(2, 1),
-        lambda: SubspaceSequence(2, 1, rule=per_index.rule, batch_rule=lines.batch_rule),
+        lambda: SubspaceSequence(),
+        lambda: SubspaceSequence(rule=per_index.rule, batch_rule=lines.batch_rule),
         lambda: dataclasses.replace(per_index, batch_rule=lines.batch_rule),
         lambda: dataclasses.replace(lines, batch_rule=None),
     ]:

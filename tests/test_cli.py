@@ -319,6 +319,19 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         (rotating(k=True), None, "sequence.params.k"),
         (rotating(ambient_dim="4"), None, "sequence.params.ambient_dim"),
         (rotating(seed=2.9), None, "sequence.params.seed"),
+        # these used to exit 3 with a message that named no field, or (an unhashable
+        # profile kind) to exit 1 with a traceback
+        (rotating(profile={"kind": ["x"]}), None, "sequence.params.profile.kind"),
+        (rotating(k=0), None, "sequence.params.k"),
+        (rotating(k=-1), None, "sequence.params.k"),
+        ({"limit_basis": [[0.0, math.inf, 0.0]]}, None, "limit_basis"),
+        ({"limit_basis": [[0.0, 0.0, 0.0]]}, None, "limit_basis"),
+        ({**rotating(), "limit_basis": [[math.nan, 0.0, 0.0, 0.0]]}, None, "limit_basis"),
+        (
+            {**rotating(k=2), "limit_basis": [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]},
+            None,
+            "limit_basis",
+        ),
         # tau changes only the density ideal's verdicts
         (
             {"ideal": {"kind": "blocks", "tau": 0.2}},
@@ -360,6 +373,13 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "params-k-bool",
         "params-ambient-dim-string",
         "params-seed-float",
+        "profile-kind-unhashable",
+        "params-k-zero",
+        "params-k-negative",
+        "limit-basis-inf-builtin",
+        "limit-basis-dependent-builtin",
+        "limit-basis-nan-rotating",
+        "limit-basis-dependent-rotating",
         "tau-with-blocks",
         "tau-with-finite",
     ],
@@ -639,6 +659,65 @@ def test_example_emits_runnable_config(tmp_path, capsys):
     seq, V, ideal = build_experiment(cfg)
     assert seq.k == 1 and V.ambient_dim == 3
     assert ideal.kind == "blocks"
+
+
+EMITTED_CONFIGS = {
+    "parity-split": """\
+{
+  "eps_grid": [
+    0.5,
+    0.1,
+    0.01
+  ],
+  "horizon": 10000,
+  "ideal": {
+    "kind": "blocks"
+  },
+  "out_dir": "out",
+  "sequence": {
+    "builtin": "parity-split",
+    "variant": "amended"
+  }
+}
+""",
+    "orthogonal-constant": """\
+{
+  "eps_grid": [
+    0.5,
+    0.1,
+    0.01
+  ],
+  "horizon": 1000,
+  "ideal": {
+    "kind": "density"
+  },
+  "out_dir": "out",
+  "sequence": {
+    "builtin": "orthogonal-constant"
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED_CONFIGS))
+def test_example_emitted_config_is_pinned(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    assert main(["example", name, "--emit-config", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text() == EMITTED_CONFIGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED_CONFIGS))
+def test_builtin_without_flags_runs_its_emitted_config(tmp_path, capsys, name):
+    # omitted flags take the built-in's defaults, horizon included
+    cfg = write(tmp_path / "cfg.json", EMITTED_CONFIGS[name])
+    by_name, by_config = tmp_path / "by_name", tmp_path / "by_config"
+    code = main(["analyze", name, "--out-dir", str(by_name)])
+    assert main(["analyze", "--config", cfg, "--out-dir", str(by_config)]) == code
+    capsys.readouterr()
+    for file in ("report.json", "trace.csv"):
+        assert (by_name / file).read_bytes() == (by_config / file).read_bytes()
 
 
 def test_example_unknown_name(capsys):

@@ -45,9 +45,7 @@ HORIZON = 1000
 
 
 def constant_sequence(V: Subspace) -> SubspaceSequence:
-    return SubspaceSequence(
-        V.ambient_dim, V.k, lambda n: V, description="constant sequence"
-    )
+    return SubspaceSequence(lambda n: V, description="constant sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_gap_trace_propagates_rule_failure_with_index():
             raise RuntimeError("boom")
         return V
 
-    seq = SubspaceSequence(2, 1, rule)
+    seq = SubspaceSequence(rule)
     with pytest.raises(RuleEvaluationError) as excinfo:
         gap_trace(seq, V, 10)
     assert excinfo.value.index == 7
@@ -285,7 +283,7 @@ def test_statistical_convergence_tolerates_square_indices():
             return Subspace(companion)
         return V
 
-    seq = SubspaceSequence(3, 1, rule, description="diverges on squares")
+    seq = SubspaceSequence(rule, description="diverges on squares")
     density = subspace_i_converges(seq, V, Ideal.density(), horizon=10_000)
     assert density.overall is Verdict.CONVERGES
     finite = subspace_i_converges(seq, V, Ideal.finite(), horizon=10_000)
@@ -512,8 +510,6 @@ def test_battery_basis_invariance_of_verdicts():
         Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
         base_rule = member.seq.rule
         rotated = SubspaceSequence(
-            member.seq.ambient_dim,
-            k,
             lambda n, _rule=base_rule, _Q=Q: Subspace(_Q @ _rule(n).basis),
             member.seq.exceptional_certificate,
             description=member.name + " (rotated basis)",
@@ -530,15 +526,28 @@ def test_battery_basis_invariance_of_verdicts():
 # sequence validation
 
 
-def test_sequence_declaration_must_match_rule():
-    V = orthonormalize([(1.0, 0.0)])
-    with pytest.raises(ValueError):
-        SubspaceSequence(3, 1, lambda n: V)
+def test_sequence_rule_must_return_a_subspace():
+    with pytest.raises(ValueError, match="expected a Subspace"):
+        SubspaceSequence(rule=lambda n: "x")
+
+
+def test_sequence_dimensions_come_from_the_rule():
+    line = SubspaceSequence(rule=lambda n: orthonormalize([(1.0, 0.0)]))
+    assert (line.k, line.ambient_dim) == (1, 2)
+    seq, _, _ = parity_split_example("amended")
+    assert (seq.k, seq.ambient_dim) == (1, 3)
+    # replace() probes the new rule again; it does not copy the old dimensions
+    planes = dataclasses.replace(
+        seq, batch_rule=lambda ns: np.broadcast_to(np.eye(4)[:2], (len(ns), 2, 4))
+    )
+    assert (planes.k, planes.ambient_dim) == (2, 4)
+    with pytest.raises(TypeError):
+        SubspaceSequence(rule=line.rule, k=1, ambient_dim=2)
 
 
 def test_sequence_probe_failure_is_a_rule_error():
     with pytest.raises(RuleEvaluationError) as excinfo:
-        SubspaceSequence(2, 1, rule=lambda n: 1 / (n - 1))
+        SubspaceSequence(rule=lambda n: 1 / (n - 1))
     assert excinfo.value.index == 1
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
 
@@ -574,7 +583,7 @@ def test_rule_returning_wrong_shape_is_reported():
     def rule(n):
         return V3 if n > 5 else V2
 
-    seq = SubspaceSequence(2, 1, rule)
+    seq = SubspaceSequence(rule)
     with pytest.raises(RuleEvaluationError) as excinfo:
         gap_trace(seq, V2, 10)
     assert excinfo.value.index == 6

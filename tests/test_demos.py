@@ -1,13 +1,16 @@
-"""Every demo script runs to completion against the current public API."""
+"""Every demo script, and the README's Python code, runs against the current public API."""
 
 import contextlib
 import io
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_exist():
@@ -19,3 +22,13 @@ def test_demo_runs(path):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
+
+
+def test_readme_python_blocks_run():
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+        # each printed line is what the block's comments say it prints
+        for line in out.getvalue().splitlines():
+            assert f"# {line}" in block
