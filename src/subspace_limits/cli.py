@@ -25,6 +25,7 @@ import contextlib
 import json
 import numbers
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -592,10 +593,16 @@ def cmd_suite(args) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    try:
-        return np.loadtxt(path, ndmin=2)
-    except ValueError:
-        return np.loadtxt(path, ndmin=2, delimiter=",")
+    with warnings.catch_warnings():
+        # an empty file is reported below, by name, instead of by numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            matrix = np.loadtxt(path, ndmin=2)
+        except ValueError:
+            matrix = np.loadtxt(path, ndmin=2, delimiter=",")
+    if matrix.size == 0:
+        raise ValueError(f"basis file {path} holds no vectors")
+    return matrix
 
 
 def cmd_gap(args) -> int:

@@ -18,8 +18,10 @@ equivalent to it and are evaluated side by side by
 
 The three checkers, :func:`subspace_i_converges`, :func:`equivalence_suite`
 and :func:`self_projection_volume_check`, are row sets of one judging
-path over the criterion table: the certificate is read once per eps and
-each distinct exceptional-set column is judged once.
+path over the criterion table: the certificate is read once per eps, each
+column is thresholded once into a trail of nested exceptional sets (its
+finest set's members and how many of the grid's thresholds each meets),
+and each distinct trail is judged once per eps, whichever columns share it.
 
 All evaluation is deterministic; identical inputs produce identical
 reports. Each index is evaluated once per trace pass, in chunks sized
@@ -149,7 +151,20 @@ def exceptional_set(values: Sequence[float], epsilon: float) -> IndexSet:
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     v = np.asarray(values, dtype=float)
-    return IndexSet(v.size, np.flatnonzero(v >= epsilon) + 1)
+    return IndexSet(v.size, _levels(v, (epsilon,))[0])
+
+
+def _levels(values: np.ndarray, thresholds: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The exceptional sets of ``values`` at non-increasing thresholds, as one trail.
+
+    Returns the members n of the finest set, values[n - 1] >= thresholds[-1],
+    and each one's level: how many thresholds it meets. The set at
+    thresholds[i] is the members whose level is >= len(thresholds) - i. NaN
+    meets no threshold.
+    """
+    ascending = np.asarray(thresholds, dtype=float)[::-1]
+    idx = np.flatnonzero(values >= ascending[0])
+    return idx + 1, np.searchsorted(ascending, values[idx], side="right")
 
 
 # --------------------------------------------------------------------------
@@ -251,15 +266,28 @@ def _limit_from_values(
     eps_grid: tuple[float, ...],
     thresholds: tuple[float, ...],
     certs: tuple[Optional[TailCertificate], ...],
+    decided: dict,
 ) -> ScalarLimitReport:
-    """Per-eps verdicts on {n : |values[n-1] - candidate| >= threshold}."""
-    deviations = np.abs(values - candidate)
-    per_epsilon = [
-        (eps, decide_membership(ideal, exceptional_set(deviations, threshold), cert))
-        for eps, threshold, cert in zip(eps_grid, thresholds, certs)
-    ]
-    overall = _conjoin([_VERDICT_OF_STATUS[v.status] for _, v in per_epsilon])
-    return ScalarLimitReport(float(candidate), tuple(per_epsilon), overall)
+    """Per-eps verdicts on {n : |values[n-1] - candidate| >= threshold}.
+
+    ``decided`` maps each trail already decided under these ideal and
+    certificates to its verdicts; a column with an equal trail reuses them.
+    """
+    members, levels = _levels(np.abs(values - candidate), thresholds)
+    top = len(thresholds)
+    # hashing the key is its cost, so it holds the smallest integer types that fit
+    key = (
+        members.astype(np.min_scalar_type(values.size)).tobytes(),
+        levels.astype(np.min_scalar_type(top)).tobytes(),
+    )
+    verdicts = decided.get(key)
+    if verdicts is None:
+        verdicts = decided[key] = tuple(
+            decide_membership(ideal, IndexSet(values.size, members[levels >= top - i]), cert)
+            for i, cert in enumerate(certs)
+        )
+    overall = _conjoin([_VERDICT_OF_STATUS[v.status] for v in verdicts])
+    return ScalarLimitReport(float(candidate), tuple(zip(eps_grid, verdicts)), overall)
 
 
 def scalar_i_limit(
@@ -286,7 +314,7 @@ def scalar_i_limit(
         bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
         raise RuleEvaluationError(bad, "rule produced a non-finite value")
     certs = _certificates(x.exceptional_certificate, grid)
-    return _limit_from_values(values, candidate, ideal, grid, grid, certs)
+    return _limit_from_values(values, candidate, ideal, grid, grid, certs, {})
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +432,10 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     """Table rows judged on the traces, the one path behind every checker.
 
     Each row is judged on every column of its trace and conjoined. Rows that
-    share a column, candidate and threshold share one report, renamed per row.
+    share a column, candidate and threshold share one report, renamed per row,
+    and columns whose exceptional sets agree at every eps share one trail's
+    verdicts: a verdict depends only on the set, the ideal and the
+    certificate, and the last two are fixed for the call.
     """
     grid = _validate_eps_grid(eps_grid)
     if traces is None:
@@ -420,12 +451,13 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     # covers the exceptional sets of every criterion at the same eps.
     certs = _certificates(seq.exceptional_certificate, grid)
     judged: dict[tuple, CriterionReport] = {}
+    decided: dict[tuple[bytes, bytes], tuple[IdealVerdict, ...]] = {}
     for name, column, candidate, threshold in rows:
         if (column, candidate, threshold) in judged:
             continue
         thresholds = tuple(threshold(eps) for eps in grid)
         reps = tuple(
-            _limit_from_values(values, candidate, ideal, grid, thresholds, certs)
+            _limit_from_values(values, candidate, ideal, grid, thresholds, certs, decided)
             for values in getattr(traces, column).reshape(horizon, -1).T
         )
         overall = _conjoin([r.overall for r in reps])

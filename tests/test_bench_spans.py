@@ -69,7 +69,8 @@ def test_instrument_wraps_and_restores_library(tmp_path):
 
 
 def test_suite_decides_each_distinct_column_once(tmp_path):
-    # k=1, two eps: gap, residual (shared by the joint volume), mass and
-    # projection in the suite, then the volume check's self volume and gap
+    # k=1, two eps: on parity-split all five suite columns share one
+    # exceptional-set trail; the volume check then judges two trails of its
+    # own, the self volume and the gap
     metrics = traced_op(load_spans(), tmp_path, "suite")
-    assert metrics["ideals.decide_membership.calls"] == 12
+    assert metrics["ideals.decide_membership.calls"] == 6

@@ -84,6 +84,21 @@ def test_gap_missing_file_is_an_error(tmp_path, capsys):
     assert main(["gap", str(tmp_path / "absent.txt"), v]) > 2
 
 
+@pytest.mark.parametrize("u_text, v_text, named", [
+    ("", "1 0\n", "u.txt"),
+    ("1 0\n", "# no rows\n\n", "v.txt"),
+    ("", "", "u.txt"),
+])
+def test_gap_empty_file_is_a_usage_error_naming_it(tmp_path, capsys, u_text, v_text, named):
+    # numpy warns on an empty file; the suite's filterwarnings = error
+    # (pyproject.toml) turns a leaked warning into a failure here
+    u = write(tmp_path / "u.txt", u_text)
+    v = write(tmp_path / "v.txt", v_text)
+    assert main(["gap", u, v]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: basis file {tmp_path / named} holds no vectors\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze subcommand
 

@@ -183,6 +183,74 @@ def test_exceptional_set_requires_positive_epsilon():
             exceptional_set([0.0], eps)
 
 
+THRESHOLD_MAPS = (
+    convergence._eps_threshold,
+    convergence._mass_threshold,
+    convergence._projection_threshold,
+)
+
+
+def assert_trail_matches_exceptional_sets(values, thresholds):
+    members, levels = convergence._levels(np.asarray(values, dtype=float), thresholds)
+    for i, t in enumerate(thresholds):
+        from_levels = members[levels >= len(thresholds) - i]
+        assert np.array_equal(from_levels, exceptional_set(values, t).members), (i, t)
+        assert from_levels.tolist() == [n for n, x in enumerate(values, 1) if x >= t]
+
+
+@pytest.mark.parametrize("values, grid, threshold", [
+    # exactly at each threshold, and on either side of it
+    ([0.5, 0.1, 0.01, 0.49, 0.099, 1.0, 0.0], (0.5, 0.1, 0.01), convergence._eps_threshold),
+    ([0.0] * 5, (0.5, 0.1), convergence._eps_threshold),  # empty at every eps
+    ([2.0] * 5, (0.5, 0.1), convergence._eps_threshold),  # full at every eps
+    # the 16-ulp floor clips both tiny eps to one threshold
+    ([0.0, 1e-16, 3.6e-15, 1e-9, 0.5], (1e-9, 1e-10), convergence._mass_threshold),
+    ([0.0, 1e-16, 3.6e-15, 1e-9, 0.5], (1e-8, 1e-9), convergence._projection_threshold),
+    ([math.nan, 0.7, math.nan, 0.2, 0.0], (0.5, 0.1), convergence._eps_threshold),
+])
+def test_level_trail_cases(values, grid, threshold):
+    assert_trail_matches_exceptional_sets(values, [threshold(e) for e in grid])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_level_trail_equals_the_per_eps_exceptional_sets(data):
+    eps = st.one_of(st.floats(1e-12, 2.0), st.sampled_from([1e-12, 1e-10, 1e-9, 0.1, 0.5]))
+    grid = sorted(set(data.draw(st.lists(eps, min_size=1, max_size=6))), reverse=True)
+    threshold = data.draw(st.sampled_from(THRESHOLD_MAPS))
+    thresholds = [threshold(e) for e in grid]
+    value = st.one_of(
+        st.sampled_from(thresholds),
+        st.floats(0.0, 2.5),
+        st.sampled_from([0.0, math.nan, math.inf]),
+    )
+    values = data.draw(st.lists(value, min_size=1, max_size=40))
+    assert_trail_matches_exceptional_sets(values, thresholds)
+
+
+@pytest.mark.parametrize("index, mass_deviation", [
+    (3, 0.0),         # gap 0.3 there: a member of the gap's finest set, not of the mass's
+    (5, 0.3 * 0.3),   # gap 0.7 there: the mass's finest set is the same, its level lower
+])
+def test_columns_that_differ_at_one_index_share_no_verdicts(index, mass_deviation):
+    seq, V = constant_orthogonal_example()
+    h, grid, ideal = 40, (0.5, 0.1), Ideal.finite()
+    n = np.arange(1, h + 1)
+    gap_values = np.where(n % 5 == 0, 0.7, np.where(n % 3 == 0, 0.3, 0.01))
+    r = gap_values[:, None]
+    mass = 1.0 - r * r
+    mass[index - 1, 0] = 1.0 - mass_deviation
+    traces = convergence.CriterionTraces(h, 1, gap_values, r.copy(), mass, np.sqrt(1.0 - r * r))
+    report = equivalence_suite(seq, V, ideal, grid, h, traces=traces)
+    for row, criterion in zip(convergence._CRITERIA, report.criteria):
+        alone = convergence._judge((row,), seq, V, ideal, grid, h, traces).criteria[0]
+        assert criterion == alone, row[0]
+    gap_report, mass_report = report.criteria[0], report.criteria[2]
+    assert [v for _, v in mass_report.per_vector[0].per_epsilon] != [
+        v for _, v in gap_report.per_vector[0].per_epsilon
+    ]
+
+
 # ---------------------------------------------------------------------------
 # scalar limits
 
