@@ -206,8 +206,12 @@ def rotating_family(
 ):
     """Sequences rotating each limit direction toward a fixed companion.
 
-    A deterministic orthonormal frame is drawn from ``seed`` (its first k
-    rows span the candidate limit unless ``limit_basis`` overrides them).
+    A deterministic orthonormal frame is drawn from ``seed``: its first k
+    rows span the candidate limit unless ``limit_basis`` overrides them, and
+    the next k are the companion directions. Only these 2k rows are drawn and
+    orthonormalized. They equal the first 2k rows of a full d-row frame, as
+    Gram-Schmidt row i depends only on the rows before it and the normal
+    stream's prefix does not depend on how many rows are drawn.
     Basis vector i of U_n is cos(theta) v_i + sin(theta) w_i where w_i is
     the i-th companion direction and sin(theta) = profile(n)[i], so the
     gap to the limit is exactly max_i profile(n)[i]. Profiles:
@@ -226,6 +230,8 @@ def rotating_family(
         raise ConfigError(
             "sequence.params.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
         )
+    if seed < 0:
+        raise ConfigError("sequence.params.seed", "must be >= 0")
     limit_rows = np.empty((0, ambient_dim))
     if limit_basis is not None:
         limit_rows = np.asarray(limit_basis, dtype=float)
@@ -234,10 +240,10 @@ def rotating_family(
                 "limit_basis", f"expected {k} rows of length {ambient_dim}"
             )
     rng = np.random.default_rng(seed)
-    randoms = rng.standard_normal((ambient_dim - len(limit_rows), ambient_dim))
+    randoms = rng.standard_normal((2 * k - len(limit_rows), ambient_dim))
     frame = orthonormalize(np.vstack([limit_rows, randoms])).basis
     V = Subspace(frame[:k])
-    companions = frame[k : 2 * k]
+    companions = frame[k:]
     sines = _sine_profile(profile, k)
 
     def batch_rule(ns: np.ndarray) -> np.ndarray:

@@ -95,8 +95,11 @@ class Subspace:
 def first_non_orthonormal(bases: np.ndarray) -> tuple[int, str] | None:
     """(index, reason) of the first basis in a stack (m, k, d) failing ``TOL_ORTHO``, or None."""
     # G - I from one Gram product each; non-finite or huge entries make dev non-finite
+    m, k = bases.shape[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(bases @ bases.swapaxes(-1, -2) - np.eye(bases.shape[-2])).max(axis=(1, 2))
+        G = (bases @ bases.swapaxes(-1, -2)).reshape(m, k * k)
+        G[:, :: k + 1] -= 1.0  # the diagonal, through a strided view
+        dev = np.abs(G, out=G).max(axis=1)
     i = int(np.argmin(dev <= TOL_ORTHO))  # the first failing basis, or 0 if none fails
     if dev[i] <= TOL_ORTHO:
         return None
@@ -147,14 +150,16 @@ def dist_point_subspace(u, V: Subspace) -> float:
     return float(np.linalg.norm(x - project(x, V)))
 
 
-def cross_residual(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-Gram C = A B^T and residual R = A - C B of stacked bases A (..., k, d).
+def cross_residual(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-Gram C = A B^T, projection P = C B and residual R = A - P.
 
-    Row i of R is u_i - P_V(u_i) for the orthonormal basis B of V. R is
-    formed from A itself, which keeps small residuals accurate.
+    A (..., k, d) stacks bases. Rows i of P and R are P_V(u_i) and
+    u_i - P_V(u_i) for the orthonormal basis B of V. R is formed from A
+    itself, which keeps small residuals accurate.
     """
     C = A @ B.T
-    return C, A - C @ B
+    P = C @ B
+    return C, P, A - P
 
 
 def residual_gap(R: np.ndarray) -> np.ndarray:
@@ -187,7 +192,7 @@ def gap(U: Subspace, V: Subspace) -> float:
         raise DimensionMismatchError(
             f"gap is defined for equal-dimensional subspaces only, got k={U.k} and k={V.k}"
         )
-    return float(residual_gap(cross_residual(U.basis, V.basis)[1]))
+    return float(residual_gap(cross_residual(U.basis, V.basis)[2]))
 
 
 def n_norm(vectors) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_limits import cli
 from subspace_limits.cli import (
     EXIT_CONVERGES,
     EXIT_DOES_NOT_CONVERGE,
@@ -334,6 +335,8 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         (rotating(k=True), None, "sequence.params.k"),
         (rotating(ambient_dim="4"), None, "sequence.params.ambient_dim"),
         (rotating(seed=2.9), None, "sequence.params.seed"),
+        # numpy's own "expected non-negative integer" named no field
+        (rotating(seed=-1), None, "sequence.params.seed"),
         # these used to exit 3 with a message that named no field, or (an unhashable
         # profile kind) to exit 1 with a traceback
         (rotating(profile={"kind": ["x"]}), None, "sequence.params.profile.kind"),
@@ -388,6 +391,7 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "params-k-bool",
         "params-ambient-dim-string",
         "params-seed-float",
+        "params-seed-negative",
         "profile-kind-unhashable",
         "params-k-zero",
         "params-k-negative",
@@ -836,6 +840,24 @@ def test_rotating_family_frame_matches_reference(seed, dk, with_limit):
     seq, V = rotating_family(d, k, {"kind": "constant", "value": 1.0}, seed, limit)
     assert np.array_equal(V.basis, frame[:k])
     assert np.array_equal(seq.rule(1).basis, frame[k : 2 * k])
+
+
+@pytest.mark.parametrize("with_limit", [False, True])
+def test_rotating_family_orthonormalizes_only_the_rows_it_uses(monkeypatch, with_limit):
+    d, k = 40, 8
+    limit = np.random.default_rng(1).standard_normal((k, d)) if with_limit else None
+    handed = []
+
+    def recording(vectors):
+        handed.append(np.array(vectors))
+        return orthonormalize(vectors)
+
+    monkeypatch.setattr(cli, "orthonormalize", recording)
+    rotating_family(d, k, {"kind": "constant", "value": 0.5}, 4, limit)
+    [rows] = handed
+    assert rows.shape == (2 * k, d)
+    if with_limit:
+        assert np.array_equal(rows[:k], limit)
 
 
 def test_rotating_family_rejects_bad_limit_basis():

@@ -141,6 +141,35 @@ def test_chunked_traces_at_the_real_budget():
     np.testing.assert_allclose(traces.joint_volume[:, 0], expected, rtol=1e-12)
 
 
+_BUDGET_PROFILES = {
+    "rotating-power-decay": {"kind": "power_decay", "scale": 0.45, "exponent": 2.0},
+    "rotating-parity": {"kind": "parity", "odd_value": 0.3, "even_scale": 0.5, "even_exponent": 1.5},
+}
+
+
+@pytest.mark.parametrize("case", [*_BUDGET_PROFILES, "parity-split"])
+def test_chunk_budget_changes_no_bit(monkeypatch, case):
+    if case == "parity-split":
+        seq, V, _ = parity_split_example("amended")
+        horizon = convergence.TRACE_CHUNK_ELEMENTS // 3 + 5  # past one default chunk
+    else:
+        # k=8, d=40, the shape the budget is sized for; 150 ends in a partial
+        # chunk at 16 and at 64 indices per chunk
+        seq, V = rotating_family(40, 8, _BUDGET_PROFILES[case], seed=0)
+        horizon = 150
+    per_index = seq.k * seq.ambient_dim
+    budgets = (per_index, 16 * 8 * 40, convergence.TRACE_CHUNK_ELEMENTS, horizon * per_index)
+    columns = []
+    for budget in budgets:
+        monkeypatch.setattr(convergence, "TRACE_CHUNK_ELEMENTS", budget)
+        traces = criterion_traces(seq, V, horizon)
+        columns.append(
+            (traces.gap, traces.residual, traces.coefficient_mass, traces.projection_norm)
+        )
+    for other in columns[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(columns[0], other))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
