@@ -356,9 +356,11 @@ def build_experiment(cfg: ExperimentConfig):
             raise ConfigError("limit_basis", "must be a numeric matrix (rows)") from None
         if limit_rows.ndim != 2:
             raise ConfigError("limit_basis", "must be a list of basis rows")
-        # non-finite or dependent rows, named here for the rotating family too
-        with _config_field("limit_basis"):
-            limit = orthonormalize(limit_rows)
+        if not np.all(np.isfinite(limit_rows)):
+            raise ConfigError("limit_basis", "vector has non-finite coordinates")
+        if "builtin" in cfg.sequence:  # the rotating family orthonormalizes them in its frame
+            with _config_field("limit_basis"):
+                limit = orthonormalize(limit_rows)
 
     if "builtin" in cfg.sequence:
         builder = _builtin(cfg.sequence["builtin"])["builder"]
@@ -374,13 +376,15 @@ def build_experiment(cfg: ExperimentConfig):
                 )
     else:
         params = cfg.sequence["params"]
-        seq, V = rotating_family(
-            ambient_dim=_number(params["ambient_dim"], "sequence.params.ambient_dim", integer=True),
-            k=_number(params["k"], "sequence.params.k", integer=True),
-            profile=params["profile"],
-            seed=_number(params.get("seed", 0), "sequence.params.seed", integer=True),
-            limit_basis=limit_rows,
-        )
+        d = _number(params["ambient_dim"], "sequence.params.ambient_dim", integer=True)
+        k = _number(params["k"], "sequence.params.k", integer=True)
+        seed = _number(params.get("seed", 0), "sequence.params.seed", integer=True)
+        try:
+            seq, V = rotating_family(d, k, params["profile"], seed, limit_rows)
+        except RankDeficiencyError as exc:
+            if exc.index >= k:  # a drawn companion row, not the config's
+                raise
+            raise ConfigError("limit_basis", str(exc)) from None
     return seq, V, ideal
 
 

@@ -153,7 +153,9 @@ def exceptional_set(values: Sequence[float], epsilon: float) -> IndexSet:
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     v = np.asarray(values, dtype=float)
-    return IndexSet(v.size, _levels(v, (epsilon,))[0])
+    if v.size < 1:
+        raise ValueError(f"horizon must be >= 1, got {v.size}")
+    return IndexSet._sorted(v.size, _levels(v, (epsilon,))[0])
 
 
 def _levels(values: np.ndarray, thresholds: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +286,10 @@ def _limit_from_values(
     )
     verdicts = decided.get(key)
     if verdicts is None:
+        # slices of flatnonzero + 1 over the column: sorted, distinct, in [1, size]
+        h = values.size
         verdicts = decided[key] = tuple(
-            decide_membership(ideal, IndexSet(values.size, members[levels >= top - i]), cert)
+            decide_membership(ideal, IndexSet._sorted(h, members[levels >= top - i]), cert)
             for i, cert in enumerate(certs)
         )
     overall = _conjoin([_VERDICT_OF_STATUS[v.status] for v in verdicts])

@@ -79,6 +79,17 @@ class IndexSet:
         m.setflags(write=False)
         object.__setattr__(self, "members", m)
 
+    @classmethod
+    def _sorted(cls, horizon: int, members: np.ndarray) -> "IndexSet":
+        """The set of int64 ``members`` that are already sorted, distinct and
+        in [1, horizon], held as a read-only view: no copy and no checks."""
+        self = object.__new__(cls)
+        m = members.view()
+        m.setflags(write=False)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "members", m)
+        return self
+
     def __len__(self) -> int:
         return int(self.members.size)
 
@@ -166,7 +177,10 @@ def certificate_covers(cert: TailCertificate, members: np.ndarray) -> np.ndarray
         mask = sum(1 << (j - 1) for j in cert.blocks if j <= 63)  # no int64 > 0 is past 63
         return (members & -members & mask) != 0
     if isinstance(cert, SubsetOfUnion):
-        return np.logical_or.reduce([certificate_covers(p, members) for p in cert.parts])
+        covered = certificate_covers(cert.parts[0], members)  # a fresh mask, ORed in place
+        for part in cert.parts[1:]:
+            covered |= certificate_covers(part, members)
+        return covered
     raise TypeError(f"not a tail certificate: {cert!r}")
 
 
@@ -239,14 +253,18 @@ def partial_density(P: IndexSet, j: int) -> float:
 
 def _in_every_window(values, horizon: int) -> bool:
     """Whether sorted naturals meet every window (lo, hi] cut at 0 and the dyadic checkpoints."""
-    counts = np.searchsorted(values, [0, *_dyadic_checkpoints(horizon)], side="right")
-    return bool(np.all(np.diff(counts) > 0))
+    counts = np.searchsorted(values, [0, *_dyadic_checkpoints(horizon)], side="right").tolist()
+    return all(lo < hi for lo, hi in zip(counts, counts[1:]))
 
 
 def _block_first_occurrences(P: IndexSet) -> list[int]:
     """Member values at which a previously unseen block index appears."""
-    seen = np.bitwise_or.accumulate(P.members & -P.members)  # a new block adds a bit
-    return P.members[np.diff(seen, prepend=0) != 0].tolist()
+    m = P.members
+    seen = np.bitwise_or.accumulate(m & -m)  # a new block adds a bit
+    new = np.empty(m.size, dtype=bool)
+    new[:1] = True  # the first member's block is always new
+    np.not_equal(seen[1:], seen[:-1], out=new[1:])
+    return m[new].tolist()
 
 
 # --------------------------------------------------------------------------

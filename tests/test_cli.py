@@ -860,6 +860,27 @@ def test_rotating_family_orthonormalizes_only_the_rows_it_uses(monkeypatch, with
         assert np.array_equal(rows[:k], limit)
 
 
+def test_rotating_limit_basis_is_orthonormalized_once(tmp_path, monkeypatch):
+    # the rows go through Gram-Schmidt only as the first k of the 2k-row frame
+    k, d = 3, 10
+    limit = np.random.default_rng(5).standard_normal((k, d))
+    shapes = []
+    real = cli.orthonormalize
+    monkeypatch.setattr(
+        cli, "orthonormalize", lambda rows: shapes.append(np.shape(rows)) or real(rows)
+    )
+    doc = {
+        **PARITY_CONFIG,
+        **rotating(ambient_dim=d, k=k, seed=4),
+        "ideal": {"kind": "finite"},
+        "limit_basis": limit.tolist(),
+    }
+    path = write(tmp_path / "c.json", json.dumps(doc))
+    _, V, _ = build_experiment(load_config(path))
+    assert shapes == [(2 * k, d)]
+    assert np.array_equal(V.basis, real(limit).basis)  # row i depends only on rows <= i
+
+
 def test_rotating_family_rejects_bad_limit_basis():
     profile = {"kind": "constant", "value": 0.1}
     for rows in (1, 3):

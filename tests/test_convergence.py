@@ -14,6 +14,7 @@ from subspace_limits import (
     CertificateError,
     EmptyTail,
     Ideal,
+    IndexSet,
     RuleEvaluationError,
     ScalarSequence,
     Status,
@@ -206,6 +207,11 @@ def test_exceptional_set_all_or_nothing():
     assert len(exceptional_set(np.ones(50), 0.5)) == 50
 
 
+def test_exceptional_set_rejects_empty_values():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        exceptional_set([], 0.1)
+
+
 def test_exceptional_set_requires_positive_epsilon():
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -255,6 +261,67 @@ def test_level_trail_equals_the_per_eps_exceptional_sets(data):
     )
     values = data.draw(st.lists(value, min_size=1, max_size=40))
     assert_trail_matches_exceptional_sets(values, thresholds)
+
+
+IDEAL_OBJECTS = (Ideal.finite(), Ideal.density(), Ideal.blocks())
+PARITY_CERTIFICATE = parity_split_example("amended")[0].exceptional_certificate
+
+
+def _membership(ideal, P, cert):
+    try:
+        return convergence.decide_membership(ideal, P, cert)
+    except CertificateError as exc:
+        return str(exc)
+
+
+def assert_trail_sets_equal_checked_ones(values, grid):
+    """Every set the engine hands to decide_membership, built without checks,
+    equals the checked constructor's and exceptional_set's, is read-only and
+    gets the checked set's verdict under every ideal and certificate."""
+    values = np.asarray(values, dtype=float)
+    h = values.size
+    decide, passed = convergence.decide_membership, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            convergence, "decide_membership",
+            lambda ideal, P, cert: passed.append(P) or decide(ideal, P, cert),
+        )
+        convergence._limit_from_values(
+            values, 0.0, Ideal.finite(), grid, grid, (None,) * len(grid), {}
+        )
+    assert len(passed) == len(grid)
+    for P, eps in zip(passed, grid):
+        checked = IndexSet(h, [n for n, x in enumerate(values, 1) if abs(x) >= eps])
+        assert P == checked and P == exceptional_set(np.abs(values), eps)
+        assert P.members.dtype == np.int64 and not P.members.flags.writeable
+        for ideal in IDEAL_OBJECTS:
+            for cert in (None, PARITY_CERTIFICATE(eps)):
+                assert _membership(ideal, P, cert) == _membership(ideal, checked, cert)
+
+
+@pytest.mark.parametrize("values, grid", [
+    ([0.0] * 20, (0.5, 0.1)),  # empty at every eps
+    ([2.0] * 20, (0.5, 0.1)),  # full at every eps
+    ([0.5, 0.1, 0.01, -0.5, -0.1, math.nan, 0.0] * 3, (0.5, 0.1, 0.01)),  # exactly at each
+    ([1.0 / n for n in range(1, 41)], (0.5, 0.1, 0.05)),  # a prefix: exact under parity
+    ([math.nan] * 17, (0.3,)),
+])
+def test_trail_sets_equal_checked_ones_cases(values, grid):
+    assert_trail_sets_equal_checked_ones(values, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trail_sets_equal_checked_ones(data):
+    eps = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.5, 0.25, 0.1, 0.01]))
+    grid = tuple(sorted(set(data.draw(st.lists(eps, min_size=1, max_size=5))), reverse=True))
+    value = st.one_of(
+        st.sampled_from(grid),  # exactly at a threshold
+        st.floats(-2.5, 2.5),
+        st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+    )
+    values = data.draw(st.lists(value, min_size=1, max_size=80))
+    assert_trail_sets_equal_checked_ones(values, grid)
 
 
 @pytest.mark.parametrize("index, mass_deviation", [

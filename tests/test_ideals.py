@@ -170,6 +170,64 @@ def test_in_every_window_matches_the_window_loops(horizon, stride, start, extra)
     assert _in_every_window(events, horizon) == want
 
 
+def _in_every_window_by_diff(values, horizon):
+    """The window rule's earlier np.diff form, kept as a reference."""
+    counts = np.searchsorted(values, [0, *_dyadic_checkpoints(horizon)], side="right")
+    return bool(np.all(np.diff(counts) > 0))
+
+
+def _block_first_occurrences_by_diff(P):
+    """The novelty rule's earlier np.diff form, kept as a reference."""
+    seen = np.bitwise_or.accumulate(P.members & -P.members)
+    return P.members[np.diff(seen, prepend=0) != 0].tolist()
+
+
+def assert_rules_match_their_diff_forms(horizon, members):
+    P = IndexSet(horizon, members)
+    assert _in_every_window(members, horizon) == _in_every_window_by_diff(members, horizon)
+    assert _in_every_window(P.members, horizon) == _in_every_window_by_diff(P.members, horizon)
+    events = _block_first_occurrences(P)
+    assert events == _block_first_occurrences_by_diff(P)
+    assert _in_every_window(events, horizon) == _in_every_window_by_diff(events, horizon)
+
+
+NEAR_2_62 = [2**62 - 3, 2**62 - 1, 2**62, 2**62 + 1, 2**62 + 6]
+
+
+@pytest.mark.parametrize("horizon, members", [
+    (1, []),
+    (1, [1]),
+    (16, []),
+    (16, [16]),
+    (16, [1]),
+    (16, _dyadic_checkpoints(16)),
+    (16, list(range(1, 17))),
+    (1000, _dyadic_checkpoints(1000)),
+    (1000, [1, *_dyadic_checkpoints(1000)]),
+    (2**62 + 6, []),
+    (2**62 + 6, NEAR_2_62),
+    (2**62 + 6, [1, 2**61, *NEAR_2_62]),
+    (2**62 + 6, sorted({1, *_dyadic_checkpoints(2**62 + 6)})),
+])
+def test_window_and_novelty_rules_match_their_diff_forms_cases(horizon, members):
+    assert_rules_match_their_diff_forms(horizon, members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_window_and_novelty_rules_match_their_diff_forms(data):
+    horizon = data.draw(st.one_of(
+        st.integers(1, 300), st.just(16), st.integers(2**62 - 2**20, 2**62 + 2**20)
+    ))
+    member = st.one_of(
+        st.integers(1, horizon),
+        st.sampled_from([j for j in _dyadic_checkpoints(horizon) if j >= 1]),
+        st.integers(max(1, horizon - 40), horizon),
+    )
+    members = sorted(data.draw(st.sets(member, max_size=30)))
+    assert_rules_match_their_diff_forms(horizon, members)
+
+
 # ---------------------------------------------------------------------------
 # IndexSet
 
