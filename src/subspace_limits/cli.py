@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import numbers
 import sys
@@ -394,10 +395,13 @@ def build_experiment(cfg: ExperimentConfig):
 
 def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
     """Per-index worst-case trace of all criteria, byte stable across runs."""
-    residual = list(map("%.17g".__mod__, traces.residual.max(axis=1).tolist()))
-    rows = map("%d,%.17g,%s,%.17g,%.17g,%s\n".__mod__, zip(
+    worst = traces.residual.max(axis=1)
+    residual = list(map("%.17g".__mod__, worst.tolist()))
+    # a gap column bit-equal to it reuses its text; bits, since 0.0 == -0.0 prints apart
+    bit_equal = np.array_equal(traces.gap.view(np.uint64), worst.view(np.uint64))
+    rows = map("%d,%s,%s,%.17g,%.17g,%s\n".__mod__, zip(
         range(1, traces.horizon + 1),
-        traces.gap.tolist(),
+        residual if bit_equal else map("%.17g".__mod__, traces.gap.tolist()),
         residual,
         traces.coefficient_mass.min(axis=1).tolist(),
         traces.projection_norm.min(axis=1).tolist(),
@@ -574,12 +578,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg, seq, V, ideal, out_dir, traces = _prepare(args)
-    report = equivalence_suite(
-        seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces
-    )
-    volume = self_projection_volume_check(
-        seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces
-    )
+    report = equivalence_suite(seq, V, ideal, cfg.eps_grid, cfg.horizon, traces=traces)
+    volume = self_projection_volume_check(seq, V, ideal, cfg.eps_grid, cfg.horizon, traces, report)
     doc = report_to_dict(report, "suite", volume_check=volume)
     write_report(out_dir / "suite_report.json", doc)
     write_trace_csv(out_dir / "trace.csv", traces)
@@ -678,6 +678,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", help="directory for report and trace files")
 
 
+@functools.cache  # one parser per process, built by the first main() call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="subspace-limits",
@@ -712,9 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

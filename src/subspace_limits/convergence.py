@@ -62,6 +62,7 @@ DEFAULT_HORIZON = 1000
 # k=8, d=40, horizon 2000 the pass took 38, 32, 30 and 29 ms at 16, 32, 64 and
 # 128 indices (2-vCPU x86_64); 64 kept the CLI's peak RSS, 128 raised it 0.4 MiB.
 TRACE_CHUNK_ELEMENTS = 64 * 8 * 40
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it lost its squares to underflow
 
 
 class Verdict(enum.Enum):
@@ -391,7 +392,11 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
         projection_norm[rows] = np.linalg.norm(P, axis=-1)
         del P
         gap[rows] = linalg.residual_gap(R)
-        residual[rows] = np.linalg.norm(R, axis=-1)
+        r = residual[rows]
+        r[:] = np.linalg.norm(R, axis=-1)
+        if (small := r < _SQRT_TINY).any():  # squares underflowed: rescale as residual_gap does
+            s = np.abs(R[small]).max(axis=-1, keepdims=True)
+            r[small] = s[:, 0] * np.linalg.norm(R[small] / np.where(s > 0, s, 1.0), axis=-1)
         del R
     return CriterionTraces(horizon, k, gap, residual, coefficient_mass, projection_norm)
 
@@ -542,11 +547,20 @@ def self_projection_volume_check(
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = DEFAULT_HORIZON,
     traces: Optional[CriterionTraces] = None,
+    report: Optional[ConvergenceReport] = None,
 ) -> VolumeCheckReport:
-    """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0."""
-    rows = (_SELF_VOLUME, _CRITERIA[0])
-    volume, gap = _judge(rows, seq, V, ideal, eps_grid, horizon, traces).criteria
-    subspace_overall = gap.overall
+    """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0.
+
+    Pass the ``report`` of ``equivalence_suite`` or ``subspace_i_converges``
+    for the same ideal, eps grid and horizon to reuse its gap verdicts.
+    """
+    mine = (ideal, _validate_eps_grid(eps_grid), horizon)
+    if report is not None and (theirs := (report.ideal, report.eps_grid, report.horizon)) != mine:
+        raise ValueError(f"report judged (ideal, eps grid, horizon) {theirs}, not {mine}")
+    rows = ((_CRITERIA[0],) if report is None else ()) + (_SELF_VOLUME,)
+    judged = _judge(rows, seq, V, ideal, eps_grid, horizon, traces)
+    volume = judged.criteria[-1]
+    subspace_overall = (judged if report is None else report).overall
     implication_holds = not (
         subspace_overall is Verdict.CONVERGES and volume.overall is not Verdict.CONVERGES
     )
@@ -590,11 +604,12 @@ def parity_split_example(variant: str = "amended"):
 
     def batch_rule(ns: np.ndarray) -> np.ndarray:
         raw = np.zeros((len(ns), 1, 3))
-        raw[:, 0, 0] = [math.sin(n) / n for n in ns.tolist()]  # libm's sin, as per index
+        even = ns % 2 == 0  # the odd rows are span{e3}, set below
+        raw[even, 0, 0] = [math.sin(n) / n for n in ns[even].tolist()]  # libm's sin, as per index
         raw[:, 0, 1] = 1.0 if variant == "amended" else 1.0 / ns
         # a stacked dot matches the 1-d np.linalg.norm bit for bit; norm(axis=-1) does not
         bases = raw / np.sqrt(raw @ raw.swapaxes(1, 2))
-        bases[ns % 2 == 1] = [[0.0, 0.0, 1.0]]
+        bases[~even] = [[0.0, 0.0, 1.0]]
         return bases
 
     certificate = None

@@ -55,6 +55,16 @@ def test_parity_batch_rule_matches_per_index_formula(ns, variant):
     assert_batch_matches(seq, ns, lambda n: parity_reference(n, variant))
 
 
+def test_parity_batch_rule_calls_sin_only_on_even_indices(monkeypatch):
+    # the odd rows are span{e3} whatever sin(n) is, so sin is not asked for them
+    seq, _, _ = parity_split_example("amended")
+    asked = []
+    real = math.sin
+    monkeypatch.setattr(math, "sin", lambda n: asked.append(n) or real(n))
+    seq.batch_rule(np.array([7, 2, 3, 10, 4, 1, 999_999, 1_000_000]))
+    assert asked == [2, 10, 4, 1_000_000]
+
+
 @given(ns=INDICES)
 def test_orthogonal_constant_batch_rule_matches_its_line(ns):
     seq, _ = constant_orthogonal_example()

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from subspace_limits.cli import (
     rotating_family,
     write_trace_csv,
 )
-from subspace_limits.convergence import CriterionTraces
+from subspace_limits.convergence import CriterionTraces, criterion_traces, parity_split_example
 from subspace_limits.linalg import RankDeficiencyError, orthonormalize
 
 
@@ -489,6 +493,59 @@ def test_suite_parity_split_blocks_all_converge(tmp_path):
     assert all(all(cell for cell in row) for row in matrix)
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # one parser serves every main() call of a process; each call must print
+    # and exit as it does with a parser built for it alone
+    out = str(tmp_path / "out")
+    config = write(tmp_path / "config.json", json.dumps({**PARITY_CONFIG, "horizon": 300}))
+    u = write(tmp_path / "u.txt", "1 0 0\n")
+    v = write(tmp_path / "v.txt", "1 1 0\n")
+    calls = [
+        ["suite", "parity-split", "--horizon", "400", "--out-dir", out],
+        ["analyze", "--config", config, "--out-dir", out],
+        ["analyze", "parity-split", "--no-such-flag"],
+        ["example", "parity-split"],
+        ["gap", u, v],
+        ["suite", "parity-split", "--horizon", "400", "--out-dir", out],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, EXIT_USAGE, 0, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in reused[2][2]
+    assert reused[5] == reused[0]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **kw: built.append(1) or init(*a, **kw)\n"
+        "import subspace_limits.cli as cli\n"
+        "print(len(built), cli.build_parser.cache_info().currsize)\n"
+        "cli.build_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 0\nTrue\n"
+
+
 # ---------------------------------------------------------------------------
 # determinism and round-trips
 
@@ -626,6 +683,18 @@ def test_trace_floats_have_full_precision(tmp_path):
     assert float(g) == pytest.approx(abs(s) / math.sqrt(4.0 + s * s), abs=1e-15)
 
 
+def per_row_trace(traces) -> bytes:
+    """trace.csv as one %.17g template per row writes it, every field formatted."""
+    residual = traces.residual.max(axis=1)
+    rows = [
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+        % (n, traces.gap[n - 1], residual[n - 1], traces.coefficient_mass[n - 1].min(),
+           traces.projection_norm[n - 1].min(), residual[n - 1])
+        for n in range(1, traces.horizon + 1)
+    ]
+    return "\n".join([TRACE_HEADER, *rows]).encode() + b"\n"
+
+
 def test_trace_csv_keeps_the_per_row_template(tmp_path):
     # -0 and subnormals keep their text; the residual column fills two fields,
     # and the last row's gap equals its residual
@@ -644,19 +713,74 @@ def test_trace_csv_keeps_the_per_row_template(tmp_path):
             [[third, 1.0], [1.0, 1.0], [0.1, 0.5], [-0.0, 1.0], [5e-324, 1.0], [1.0, 1.0]]
         ),
     )
-    residual = traces.residual.max(axis=1)
-    rows = [
-        "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-        % (n, traces.gap[n - 1], residual[n - 1], traces.coefficient_mass[n - 1].min(),
-           traces.projection_norm[n - 1].min(), residual[n - 1])
-        for n in range(1, 7)
-    ]
     write_trace_csv(tmp_path / "trace.csv", traces)
     text = (tmp_path / "trace.csv").read_bytes()
-    assert text == "\n".join([TRACE_HEADER, *rows]).encode() + b"\n"
+    assert text == per_row_trace(traces)
     assert b"1,-0,-0,1,0.33333333333333331,-0\n" in text
     assert b"2,4.9406564584124654e-324,4.9406564584124654e-324,-0," in text
     assert b"6,0.25,0.25,0.75,1,0.25\n" in text
+
+
+def line_traces(gap, residual) -> CriterionTraces:
+    """k=1 traces with the given gap and residual columns."""
+    gap, residual = np.array(gap, dtype=float), np.array(residual, dtype=float)
+    h = len(gap)
+    mass, projection = np.full((h, 1), 0.75), np.full((h, 1), 0.5)
+    return CriterionTraces(h, 1, gap, residual.reshape(h, 1), mass, projection)
+
+
+THIRD_UP = np.nextafter(1 / 3, 1.0)  # one ulp above 1/3
+
+
+@pytest.mark.parametrize(
+    "gap, residual, row",
+    [
+        # equal as floats, not as bits: each field keeps its own sign
+        ([0.0, 0.25], [-0.0, 0.25], b"1,0,-0,0.75,0.5,-0\n"),
+        ([-0.0, 0.25], [0.0, 0.25], b"1,-0,0,0.75,0.5,0\n"),
+        ([math.nan, 0.25], [math.nan, 0.25], b"1,nan,nan,0.75,0.5,nan\n"),
+        ([math.nan, 0.25], [0.25, 0.25], b"1,nan,0.25,0.75,0.5,0.25\n"),
+        ([0.25, 0.5], [0.25, math.nan], b"2,0.5,nan,0.75,0.5,nan\n"),
+        # one index apart by one ulp, the rest bit-equal
+        ([0.5, 1 / 3, 0.25], [0.5, THIRD_UP, 0.25], b"2,0.33333333333333331,0.33333333333333337,"),
+    ],
+    ids=["+0-vs--0", "-0-vs-+0", "nan-both", "nan-gap", "nan-residual", "one-ulp"],
+)
+def test_trace_csv_gap_field_has_its_own_bits(tmp_path, gap, residual, row):
+    traces = line_traces(gap, residual)
+    write_trace_csv(tmp_path / "trace.csv", traces)
+    text = (tmp_path / "trace.csv").read_bytes()
+    assert text == per_row_trace(traces)
+    assert row in text
+
+
+def _rotating_traces(k, seed):
+    profile = {"kind": "power_decay", "scale": 0.45, "exponent": 2.0}
+    seq, V = rotating_family(40, k, profile, seed)
+    return criterion_traces(seq, V, 2000)
+
+
+@pytest.mark.parametrize(
+    "make, share",
+    [
+        # parity-split's gap and residual columns agree bit for bit at every index
+        (lambda: criterion_traces(*parity_split_example("amended")[:2], 3001), "all"),
+        (lambda: criterion_traces(*parity_split_example("printed")[:2], 3001), "all"),
+        # a rotating line agrees at about half its indices: the per-field path
+        (lambda: _rotating_traces(1, 0), "some"),
+        (lambda: _rotating_traces(8, 0), None),
+    ],
+    ids=["parity-amended", "parity-printed", "rotating-k1-d40", "rotating-k8-d40"],
+)
+def test_trace_csv_matches_the_per_row_template(tmp_path, make, share):
+    traces = make()
+    bits = traces.gap.view(np.uint64) == traces.residual.max(axis=1).view(np.uint64)
+    if share == "all":
+        assert bits.all()
+    elif share == "some":
+        assert 0.2 < bits.mean() < 0.8
+    write_trace_csv(tmp_path / "trace.csv", traces)
+    assert (tmp_path / "trace.csv").read_bytes() == per_row_trace(traces)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,50 @@ def test_chunked_traces_at_the_real_budget():
     np.testing.assert_allclose(traces.joint_volume[:, 0], expected, rtol=1e-12)
 
 
+def tilted_line(tilts):
+    """Lines span{(1, t_n)} in R^2 against V = span{e1}: gap t_n (t_n < 1e-8)."""
+    tilts = np.asarray(tilts, dtype=float)
+    seq = SubspaceSequence(
+        batch_rule=lambda ns: np.stack([np.ones(len(ns)), tilts[(ns - 1) % len(tilts)]], -1)[
+            :, None, :
+        ],
+        description="tilted lines",
+    )
+    return seq, Subspace(np.array([[1.0, 0.0]]))
+
+
+def test_tiny_residuals_do_not_underflow():
+    # gap 1e-170: the squared residual underflows to 0, so the residual column
+    # read 0.0 and vector_residual and joint_volume said `converges` at 1e-180
+    # where the gap says `does_not_converge`
+    seq, V = tilted_line([1e-170])
+    traces = criterion_traces(seq, V, 40)
+    assert np.array_equal(traces.residual[:, 0], traces.gap)
+    assert traces.gap[0] == 1e-170
+    report = equivalence_suite(seq, V, Ideal.finite(), (0.5, 1e-180), 40, traces=traces)
+    verdicts = report.overall_by_criterion()
+    for name in ("gap", "vector_residual", "joint_volume"):
+        assert verdicts[name] is Verdict.DOES_NOT_CONVERGE, name
+    # coefficient mass and projection norm are still clipped by the 16-ulp
+    # floor near 1 (_NEAR_ONE_FLOOR), so they say `converges` here; that split
+    # is left to the rest of the ROADMAP's item 5
+    assert verdicts["coefficient_mass"] is Verdict.CONVERGES
+    assert verdicts["projection_norm"] is Verdict.CONVERGES
+
+
+def test_only_underflowing_residual_rows_are_rescaled():
+    # rows whose squared norm is normal keep np.linalg.norm's bits; rows below
+    # it, subnormal tilts and an exact zero included, get the scaled norm
+    tilts = [0.0, 5e-324, 1e-170, 1e-154, 2e-154, 1e-9, 3e-9, 1e-300]
+    seq, V = tilted_line(tilts)
+    traces = criterion_traces(seq, V, len(tilts))
+    plain = np.linalg.norm(np.stack([np.zeros(len(tilts)), tilts], -1), axis=-1)  # R = (0, t)
+    normal = plain >= math.sqrt(np.finfo(float).tiny)
+    assert normal.tolist() == [False, False, False, False, True, True, True, False]
+    assert traces.residual[normal, 0].tobytes() == plain[normal].tobytes()
+    assert traces.residual[:, 0].tolist() == [abs(t) for t in tilts]
+
+
 _BUDGET_PROFILES = {
     "rotating-power-decay": {"kind": "power_decay", "scale": 0.45, "exponent": 2.0},
     "rotating-parity": {"kind": "parity", "odd_value": 0.3, "even_scale": 0.5, "even_exponent": 1.5},
@@ -606,6 +650,49 @@ def test_volume_check_converse_fails_on_orthogonal_constant():
         assert chk.subspace_overall is Verdict.DOES_NOT_CONVERGE
         assert chk.implication_holds
         assert chk.converse_falsified
+
+
+def test_volume_check_takes_the_gap_verdicts_of_a_report():
+    for member in build_battery():
+        traces = criterion_traces(member.seq, member.limit, 300)
+        for ideal in BATTERY_IDEALS.values():
+            args = (member.seq, member.limit, ideal, (0.5, 0.1, 0.01), 300)
+            for checker in (equivalence_suite, subspace_i_converges):
+                report = checker(*args, traces=traces)
+                chk = self_projection_volume_check(*args, traces=traces, report=report)
+                assert chk == self_projection_volume_check(*args, traces=traces)
+
+
+def test_volume_check_with_report_judges_only_the_volume(monkeypatch):
+    seq, V, ideal = parity_split_example("amended")
+    traces = criterion_traces(seq, V, 400)
+    report = equivalence_suite(seq, V, ideal, (0.5, 0.1), 400, traces=traces)
+    judged = []
+    real = convergence._judge
+    monkeypatch.setattr(
+        convergence, "_judge", lambda rows, *a: judged.append([r[0] for r in rows]) or real(rows, *a)
+    )
+    self_projection_volume_check(seq, V, ideal, (0.5, 0.1), 400, traces=traces, report=report)
+    self_projection_volume_check(seq, V, ideal, (0.5, 0.1), 400, traces=traces)
+    assert judged == [["self_projection_volume"], ["gap", "self_projection_volume"]]
+
+
+@pytest.mark.parametrize(
+    "ideal, grid, horizon",
+    [(Ideal.density(), (0.5, 0.1), 400), (Ideal.blocks(), (0.5, 0.2), 400),
+     (Ideal.blocks(), (0.5,), 400), (Ideal.blocks(), (0.5, 0.1), 300)],
+    ids=["ideal", "eps", "grid-length", "horizon"],
+)
+def test_volume_check_rejects_a_report_of_another_run(ideal, grid, horizon):
+    seq, V, blocks = parity_split_example("amended")
+    traces = criterion_traces(seq, V, 400)
+    report = equivalence_suite(seq, V, blocks, (0.5, 0.1), 400, traces=traces)
+    with pytest.raises(ValueError, match="report judged"):
+        self_projection_volume_check(
+            seq, V, ideal, grid, horizon, traces=criterion_traces(seq, V, horizon), report=report
+        )
+    # the same run, with the grid given as a list of ints and floats, is accepted
+    self_projection_volume_check(seq, V, blocks, [0.5, 0.1], 400, traces=traces, report=report)
 
 
 def test_volume_check_direction_on_battery():
