@@ -17,6 +17,8 @@ The console script ``subspace-limits`` (see :mod:`subspace_limits.cli`)
 wraps the engine for file-based experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .convergence import (
     CRITERION_NAMES,
     DEFAULT_EPS_GRID,
@@ -72,54 +74,5 @@ from .oracle import SamplingPlan, det_bruteforce, gap_bruteforce, jacobi_eigenva
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomsReport",
-    "CRITERION_NAMES",
-    "CertificateError",
-    "ConvergenceReport",
-    "CriterionReport",
-    "CriterionTraces",
-    "DEFAULT_EPS_GRID",
-    "DimensionMismatchError",
-    "EmptyTail",
-    "IDEALS",
-    "Ideal",
-    "IdealVerdict",
-    "IndexSet",
-    "Mode",
-    "RankDeficiencyError",
-    "RuleEvaluationError",
-    "SamplingPlan",
-    "ScalarLimitReport",
-    "ScalarSequence",
-    "Status",
-    "SubsetOfBlocks",
-    "SubsetOfUnion",
-    "Subspace",
-    "SubspaceSequence",
-    "TailCertificate",
-    "Verdict",
-    "VolumeCheckReport",
-    "axioms_check",
-    "block_index",
-    "constant_orthogonal_example",
-    "criterion_traces",
-    "decide_membership",
-    "det_bruteforce",
-    "dist_point_subspace",
-    "equivalence_suite",
-    "exceptional_set",
-    "filter_contains",
-    "gap",
-    "gap_bruteforce",
-    "gap_trace",
-    "jacobi_eigenvalues",
-    "n_norm",
-    "orthonormalize",
-    "parity_split_example",
-    "partial_density",
-    "project",
-    "scalar_i_limit",
-    "self_projection_volume_check",
-    "subspace_i_converges",
-]
+# the names imported above, without the submodules they come from
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

@@ -19,9 +19,9 @@ equivalent to it and are evaluated side by side by
 The three checkers, :func:`subspace_i_converges`, :func:`equivalence_suite`
 and :func:`self_projection_volume_check`, are row sets of one judging
 path over the criterion table: the certificate is read once per eps, each
-column is thresholded once into a trail of nested exceptional sets (its
-finest set's members and how many of the grid's thresholds each meets),
-and each distinct trail is judged once per eps, whichever columns share it.
+column is thresholded once into a trail of nested exceptional sets (one
+level per index: how many of the grid's thresholds it meets), and each
+distinct trail is judged once per eps, whichever columns share it.
 
 All evaluation is deterministic; identical inputs produce identical
 reports. Each index is evaluated once per trace pass, in chunks sized
@@ -156,20 +156,28 @@ def exceptional_set(values: Sequence[float], epsilon: float) -> IndexSet:
     v = np.asarray(values, dtype=float)
     if v.size < 1:
         raise ValueError(f"horizon must be >= 1, got {v.size}")
-    return IndexSet._sorted(v.size, _levels(v, (epsilon,))[0])
+    return _level_set(_levels(v, (epsilon,)), 1)
 
 
-def _levels(values: np.ndarray, thresholds: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _levels(values: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     """The exceptional sets of ``values`` at non-increasing thresholds, as one trail.
 
-    Returns the members n of the finest set, values[n - 1] >= thresholds[-1],
-    and each one's level: how many thresholds it meets. The set at
-    thresholds[i] is the members whose level is >= len(thresholds) - i. NaN
-    meets no threshold.
+    Returns each index's level: level[n - 1] is how many thresholds
+    values[n - 1] meets, in the smallest unsigned type that holds their
+    count. The set at thresholds[i] is the n whose level is >=
+    len(thresholds) - i. NaN meets no threshold.
     """
-    ascending = np.asarray(thresholds, dtype=float)[::-1]
-    idx = np.flatnonzero(values >= ascending[0])
-    return idx + 1, np.searchsorted(ascending, values[idx], side="right")
+    level = np.zeros(values.size, dtype=np.min_scalar_type(len(thresholds)))
+    for t in thresholds:
+        level += values >= t
+    return level
+
+
+def _level_set(level: np.ndarray, least: int) -> IndexSet:
+    """The set of n whose level[n - 1] is at least ``least``."""
+    members = np.flatnonzero(level >= least)  # sorted, distinct, in [0, size)
+    members += 1
+    return IndexSet._sorted(level.size, members)
 
 
 # --------------------------------------------------------------------------
@@ -278,19 +286,18 @@ def _limit_from_values(
     ``decided`` maps each trail already decided under these ideal and
     certificates to its verdicts; a column with an equal trail reuses them.
     """
-    members, levels = _levels(np.abs(values - candidate), thresholds)
-    top = len(thresholds)
-    # hashing the key is its cost, so it holds the smallest integer types that fit
-    key = (
-        members.astype(np.min_scalar_type(values.size)).tobytes(),
-        levels.astype(np.min_scalar_type(top)).tobytes(),
-    )
+    # |values - 0| is the column itself unless an entry is negative or NaN (not >= 0)
+    if candidate != 0 or not values.min() >= 0:
+        values = np.subtract(values, candidate)
+        np.abs(values, out=values)
+    level = _levels(values, thresholds)
+    # the columns of one call share their length, so the levels alone are the trail
+    key = level.tobytes()
     verdicts = decided.get(key)
     if verdicts is None:
-        # slices of flatnonzero + 1 over the column: sorted, distinct, in [1, size]
-        h = values.size
+        top = len(thresholds)
         verdicts = decided[key] = tuple(
-            decide_membership(ideal, IndexSet._sorted(h, members[levels >= top - i]), cert)
+            decide_membership(ideal, _level_set(level, top - i), cert)
             for i, cert in enumerate(certs)
         )
     overall = _conjoin([_VERDICT_OF_STATUS[v.status] for v in verdicts])
@@ -467,7 +474,7 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     # covers the exceptional sets of every criterion at the same eps.
     certs = _certificates(seq.exceptional_certificate, grid)
     judged: dict[tuple, CriterionReport] = {}
-    decided: dict[tuple[bytes, bytes], tuple[IdealVerdict, ...]] = {}
+    decided: dict[bytes, tuple[IdealVerdict, ...]] = {}
     for name, column, candidate, threshold in rows:
         if (column, candidate, threshold) in judged:
             continue

@@ -41,6 +41,13 @@ class CertificateError(ValueError):
     """
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; a bool or a non-integer is a ValueError, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def block_index(n: int) -> int:
     """Index j of the dyadic block containing n.
 
@@ -65,8 +72,16 @@ class IndexSet:
     members: np.ndarray
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        horizon = _integer(self.horizon, "horizon")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        object.__setattr__(self, "horizon", horizon)
+        if isinstance(self.members, np.ndarray):
+            if self.members.size and self.members.dtype.kind not in "iu":
+                raise ValueError(f"members must be integers, got dtype {self.members.dtype}")
+        else:  # entry by entry: a bool or a float among ints would pass as an int
+            for x in np.array(self.members, dtype=object).flat:
+                _integer(x, "member")
         m = np.array(self.members, dtype=np.int64).reshape(-1)
         if np.any(m[1:] <= m[:-1]):  # thresholded traces arrive sorted already
             m = np.sort(m)
@@ -136,8 +151,10 @@ class EmptyTail:
     bound: int
 
     def __post_init__(self):
-        if self.bound < 0:
+        bound = _integer(self.bound, "bound")
+        if bound < 0:
             raise ValueError("bound must be >= 0")
+        object.__setattr__(self, "bound", bound)
 
 
 @dataclass(frozen=True)
@@ -147,7 +164,7 @@ class SubsetOfBlocks:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted(set(int(b) for b in self.blocks)))
+        blocks = tuple(sorted(set(_integer(b, "block index") for b in self.blocks)))
         if not blocks or blocks[0] < 1:
             raise ValueError("need at least one block index, all >= 1")
         object.__setattr__(self, "blocks", blocks)

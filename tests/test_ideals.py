@@ -254,6 +254,51 @@ def test_index_set_rejects_out_of_range():
         IndexSet(10, [11])
 
 
+@pytest.mark.parametrize("members", [
+    [1.5, 2.7], [2.0], np.array([1.5, 2.7]), np.array([2.0]), [True], [3, True], [3, np.True_],
+    np.array([True, False]), [[2, 5], [9.5]], ["3"], [3, None],
+], ids=repr)
+def test_index_set_rejects_non_integer_members(members):
+    with pytest.raises(ValueError, match="integer"):
+        IndexSet(10, members)
+
+
+@pytest.mark.parametrize("horizon", [10.5, 10.0, True, np.float64(10)])
+def test_index_set_rejects_a_non_integer_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        IndexSet(horizon, [1])
+
+
+@pytest.mark.parametrize("members", [
+    [], (), np.array([], dtype=float), np.array([3, 1], dtype=np.uint8),
+    np.array([3, 1], dtype=np.int32), [np.int64(3), 1], range(1, 4),
+], ids=repr)
+def test_index_set_accepts_integer_members(members):
+    expected = sorted(set(int(x) for x in members))
+    s = IndexSet(np.int64(10), members)
+    assert s.members.tolist() == expected and s.members.dtype == np.int64
+    assert type(s.horizon) is int and s.horizon == 10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EmptyTail(1.5), lambda: EmptyTail(2.0), lambda: EmptyTail(True),
+    lambda: EmptyTail(np.float64(3)), lambda: EmptyTail("3"),
+    lambda: SubsetOfBlocks((1.7,)), lambda: SubsetOfBlocks((1, 2.0)),
+    lambda: SubsetOfBlocks((True,)), lambda: SubsetOfBlocks((np.True_,)),
+], ids=["bound-1.5", "bound-2.0", "bound-True", "bound-float64", "bound-str", "block-1.7",
+        "block-2.0", "block-True", "block-np.True_"])
+def test_certificates_reject_non_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_certificates_take_numpy_integers_as_ints():
+    tail = EmptyTail(np.int64(4))
+    assert tail == EmptyTail(4) and type(tail.bound) is int
+    blocks = SubsetOfBlocks((np.uint8(3), 1, np.int64(3)))
+    assert blocks.blocks == (1, 3) and all(type(b) is int for b in blocks.blocks)
+
+
 def test_index_set_complement_and_union():
     s = IndexSet(6, [1, 4])
     assert list(s.complement().members) == [2, 3, 5, 6]
