@@ -8,14 +8,7 @@ brute-force sampler.
 
 import numpy as np
 
-from subspace_limits import (
-    SamplingPlan,
-    dist_point_subspace,
-    gap,
-    gap_bruteforce,
-    orthonormalize,
-    project,
-)
+from subspace_limits import SamplingPlan, gap, gap_bruteforce, orthonormalize
 
 # Any independent spanning set becomes an orthonormal basis.
 plane = orthonormalize([(1.0, 1.0, 0.0), (1.0, 0.0, 1.0)])
@@ -23,13 +16,15 @@ print("a plane in R^3, orthonormal basis rows:")
 print(np.round(plane.basis, 6))
 print()
 
-# Projection splits a vector into an in-plane part and a residual.
+# Projection splits a vector into an in-plane part and a residual: with the
+# basis rows v_j, P(u) = sum_j <u, v_j> v_j, and the distance from u to the
+# plane is the residual's norm.
 u = np.array([2.0, -1.0, 0.5])
-p = project(u, plane)
+p = (u @ plane.basis.T) @ plane.basis
 print(f"u            = {u}")
 print(f"P(u)         = {np.round(p, 6)}")
 print(f"residual     = {np.round(u - p, 6)}")
-print(f"distance     = {dist_point_subspace(u, plane):.6f}")
+print(f"distance     = {np.linalg.norm(u - p):.6f}")
 print(f"Pythagoras   : |u|^2 = {u @ u:.6f} = "
       f"{p @ p:.6f} + {np.linalg.norm(u - p) ** 2:.6f}")
 print()

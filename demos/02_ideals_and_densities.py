@@ -1,8 +1,9 @@
 """Which subsets of N count as negligible?
 
 Shows the three built-in ideals at work: partial densities and their
-dyadic trend, the dyadic block partition of N, and how tail certificates
-turn horizon-limited observations into exact membership verdicts.
+dyadic trend, the dyadic block partition of N, how tail certificates
+turn horizon-limited observations into exact membership verdicts, the
+dual filters, and the axioms that make each ideal admissible.
 """
 
 import numpy as np
@@ -13,10 +14,9 @@ from subspace_limits import (
     IndexSet,
     SubsetOfBlocks,
     SubsetOfUnion,
+    axioms_check,
     block_index,
     decide_membership,
-    filter_contains,
-    partial_density,
 )
 
 HORIZON = 10_000
@@ -32,7 +32,8 @@ squares = IndexSet(HORIZON, [i * i for i in range(1, 101)])
 # Partial densities count members up to j; the natural density is their limit.
 print("partial densities of the odd numbers:")
 for j in (10, 100, 1000, HORIZON):
-    print(f"  d_{j}(odds) = {partial_density(odds, j):.4f}")
+    count = np.searchsorted(odds.members, j, side="right")  # members up to j
+    print(f"  d_{j}(odds) = {count / j:.4f}")
 # The density ideal's verdict carries the partial densities at dyadic checkpoints.
 squares_verdict = decide_membership(Ideal.density(), squares)
 print("dyadic density trail of the squares:",
@@ -64,6 +65,23 @@ cert = SubsetOfUnion((SubsetOfBlocks((1,)), EmptyTail(10)))
 show("odds + {2,4,8} in blocks ideal, certified",
      decide_membership(Ideal.blocks(), messy, cert))
 
-# Filters are the dual picture: large sets whose complement is negligible.
+# Filters are the dual picture: a set is in the filter exactly when its
+# complement within the horizon is negligible, so the complement is judged.
+complement = IndexSet(HORIZON, np.setdiff1d(np.arange(1, HORIZON + 1), evens.members))
 show("evens in blocks FILTER (complement = odds)",
-     filter_contains(Ideal.blocks(), evens, SubsetOfBlocks((1,))))
+     decide_membership(Ideal.blocks(), complement, SubsetOfBlocks((1,))))
+print()
+
+# Each ideal is admissible: it holds the empty set and every singleton, is
+# closed under unions and subsets, and does not hold all of N. The checks run
+# on a small certified family at the horizon.
+family = [
+    (IndexSet(HORIZON, []), EmptyTail(0)),
+    (IndexSet(HORIZON, [2, 4]), EmptyTail(4)),
+    (odds, SubsetOfBlocks((1,))),
+]
+print("ideal axioms on a certified family:")
+for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
+    report = axioms_check(ideal, family)
+    checks = ", ".join(f"{c.name} {'ok' if c.passed else 'FAILED'}" for c in report.checks)
+    print(f"  {ideal.kind:<8s} {'admissible' if report.passed else 'NOT admissible'}: {checks}")

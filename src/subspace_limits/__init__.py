@@ -2,8 +2,8 @@
 
 The library splits into four layers:
 
-* :mod:`subspace_limits.linalg` -- orthonormal bases, projections, the
-  gap metric and joint norms;
+* :mod:`subspace_limits.linalg` -- orthonormal bases, the batched
+  residual kernels, the gap metric and joint norms;
 * :mod:`subspace_limits.oracle` -- slow, independent brute-force versions
   of the same quantities, used for cross-checking;
 * :mod:`subspace_limits.ideals` -- ideals on N, one class per family
@@ -20,24 +20,20 @@ wraps the engine for file-based experiments.
 from types import ModuleType as _ModuleType
 
 from .convergence import (
-    CRITERION_NAMES,
     DEFAULT_EPS_GRID,
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
     RuleEvaluationError,
     ScalarLimitReport,
-    ScalarSequence,
     SubspaceSequence,
     Verdict,
     VolumeCheckReport,
     constant_orthogonal_example,
     criterion_traces,
     equivalence_suite,
-    exceptional_set,
     gap_trace,
     parity_split_example,
-    scalar_i_limit,
     self_projection_volume_check,
     subspace_i_converges,
 )
@@ -57,18 +53,14 @@ from .ideals import (
     axioms_check,
     block_index,
     decide_membership,
-    filter_contains,
-    partial_density,
 )
 from .linalg import (
     DimensionMismatchError,
     RankDeficiencyError,
     Subspace,
-    dist_point_subspace,
     gap,
     n_norm,
     orthonormalize,
-    project,
 )
 from .oracle import SamplingPlan, det_bruteforce, gap_bruteforce, jacobi_eigenvalues
 

@@ -303,9 +303,8 @@ class ExperimentConfig:
             raise ConfigError("horizon", "must be an integer >= 16")
         if not isinstance(self.eps_grid, list):
             raise ConfigError("eps_grid", "must be a list of numbers")
-        grid = [_number(eps, "eps_grid") for eps in self.eps_grid]
         with _config_field("eps_grid"):
-            _validate_eps_grid(grid)
+            _validate_eps_grid(self.eps_grid)
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError("out_dir", "must be a non-empty string")
 
@@ -474,31 +473,6 @@ def report_to_dict(
 
 def write_report(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def read_report(path: str | Path) -> dict:
-    """Parse a report file written by this CLI."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"not a {REPORT_SCHEMA} document: {path}")
-    return doc
-
-
-def report_verdicts(doc: dict) -> dict:
-    """Extract the verdict skeleton of a parsed report (for round-trips)."""
-    return {
-        "overall": doc["overall"],
-        "criteria": {
-            c["name"]: {
-                "overall": c["overall"],
-                "per_vector": [
-                    [(e["epsilon"], e["status"]) for e in v["per_epsilon"]]
-                    for v in c["per_vector"]
-                ],
-            }
-            for c in doc["criteria"]
-        },
-    }
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,10 @@ and :func:`self_projection_volume_check`, are row sets of one judging
 path over the criterion table: the certificate is read once per eps, each
 column is thresholded once into a trail of nested exceptional sets (one
 level per index: how many of the grid's thresholds it meets), and each
-distinct trail is judged once per eps, whichever columns share it.
+distinct trail is judged once per eps, whichever columns share it. They
+are the module's only verdict entry points; each takes an eps grid of
+finite positive real numbers in strictly decreasing order, and rejects a
+string, a bool or any other non-real entry rather than converting it.
 
 All evaluation is deterministic; identical inputs produce identical
 reports. Each index is evaluated once per trace pass, in chunks sized
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -112,15 +116,6 @@ class SubspaceSequence:
         object.__setattr__(self, "ambient_dim", probe.ambient_dim)
 
 
-@dataclass(frozen=True)
-class ScalarSequence:
-    """A deterministic rule n -> real, optionally with eps certificates."""
-
-    rule: Callable[[int], float]
-    exceptional_certificate: Optional[Callable[[float], TailCertificate]] = None
-    description: str = ""
-
-
 def _batch_rule_at(batch_rule, n: int) -> Subspace:
     return Subspace(batch_rule(np.array([n]))[0])
 
@@ -147,16 +142,6 @@ def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[in
     Kept public under this name because ``bench/spans.py`` wraps it by name.
     """
     return list(zip(range(1, horizon + 1), criterion_traces(seq, V, horizon).gap.tolist()))
-
-
-def exceptional_set(values: Sequence[float], epsilon: float) -> IndexSet:
-    """The indices n with values[n - 1] >= epsilon, for n = 1..len(values)."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    v = np.asarray(values, dtype=float)
-    if v.size < 1:
-        raise ValueError(f"horizon must be >= 1, got {v.size}")
-    return _level_set(_levels(v, (epsilon,)), 1)
 
 
 def _levels(values: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
@@ -246,9 +231,11 @@ def _conjoin(verdicts: Sequence[Verdict]) -> Verdict:
 
 
 def _validate_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
-    grid = tuple(float(e) for e in eps_grid)
-    if not grid:
-        raise ValueError("eps grid must be non-empty")
+    # float() would read the grid "21" as (2.0, 1.0), "0.5" as 0.5 and True as 1.0
+    entries = () if isinstance(eps_grid, (str, bytes)) else tuple(eps_grid)
+    if not entries or any(isinstance(e, bool) or not isinstance(e, numbers.Real) for e in entries):
+        raise ValueError(f"eps grid must be a non-empty sequence of real numbers, got {eps_grid!r}")
+    grid = tuple(float(e) for e in entries)
     if not all(0 < e < math.inf for e in grid):
         raise ValueError(f"eps grid must be finite and strictly positive, got {grid}")
     if any(a <= b for a, b in zip(grid, grid[1:])):
@@ -302,33 +289,6 @@ def _limit_from_values(
         )
     overall = _conjoin([_VERDICT_OF_STATUS[v.status] for v in verdicts])
     return ScalarLimitReport(float(candidate), tuple(zip(eps_grid, verdicts)), overall)
-
-
-def scalar_i_limit(
-    x: ScalarSequence,
-    candidate: float,
-    ideal: Ideal,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    horizon: int = DEFAULT_HORIZON,
-) -> ScalarLimitReport:
-    """Decide whether x_n tends to the candidate under the ideal.
-
-    For each eps the exceptional set {n <= horizon : |x_n - candidate| >= eps}
-    is formed and its ideal membership decided, using the sequence's
-    certificate for that eps when one is attached. The overall verdict is
-    Converges only when every eps lands inside the ideal.
-    """
-    grid = _validate_eps_grid(eps_grid)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    values = np.asarray(
-        [_call_rule(lambda n: float(x.rule(n)), n) for n in range(1, horizon + 1)]
-    )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
-        raise RuleEvaluationError(bad, "rule produced a non-finite value")
-    certs = _certificates(x.exceptional_certificate, grid)
-    return _limit_from_values(values, candidate, ideal, grid, grid, certs, {})
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +407,6 @@ _CRITERIA = (
     ("projection_norm", "projection_norm", 1.0, _projection_threshold),
     ("joint_volume", "residual", 0.0, _eps_threshold),
 )
-CRITERION_NAMES = tuple(row[0] for row in _CRITERIA)
 _SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, _eps_threshold)
 
 

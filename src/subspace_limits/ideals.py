@@ -108,24 +108,9 @@ class IndexSet:
     def __len__(self) -> int:
         return int(self.members.size)
 
-    def __contains__(self, n: int) -> bool:
-        i = int(np.searchsorted(self.members, n))
-        return i < len(self) and int(self.members[i]) == int(n)
-
-    def count_up_to(self, j: int) -> int:
-        """Number of members that are <= j."""
-        return int(np.searchsorted(self.members, j, side="right"))
-
     def last(self) -> int:
         """Largest member, or 0 for the empty set."""
         return int(self.members[-1]) if len(self) else 0
-
-    def complement(self) -> "IndexSet":
-        """Complement within {1, ..., horizon}."""
-        mask = np.ones(self.horizon + 1, dtype=bool)
-        mask[0] = False
-        mask[self.members] = False
-        return IndexSet(self.horizon, np.flatnonzero(mask))
 
     def union(self, other: "IndexSet") -> "IndexSet":
         if self.horizon != other.horizon:
@@ -259,15 +244,6 @@ def _dyadic_checkpoints(horizon: int) -> list[int]:
     return [horizon // 2**i for i in range(DYADIC_CHECKPOINTS - 1, -1, -1)]
 
 
-def partial_density(P: IndexSet, j: int) -> float:
-    """|P intersect {1..j}| / j, the j-th partial density of P."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    if j > P.horizon:
-        raise ValueError(f"j={j} exceeds the enumerated horizon {P.horizon}")
-    return P.count_up_to(j) / j
-
-
 def _in_every_window(values, horizon: int) -> bool:
     """Whether sorted naturals meet every window (lo, hi] cut at 0 and the dyadic checkpoints."""
     counts = np.searchsorted(values, [0, *_dyadic_checkpoints(horizon)], side="right").tolist()
@@ -277,7 +253,9 @@ def _in_every_window(values, horizon: int) -> bool:
 def _block_first_occurrences(P: IndexSet) -> list[int]:
     """Member values at which a previously unseen block index appears."""
     m = P.members
-    seen = np.bitwise_or.accumulate(m & -m)  # a new block adds a bit
+    seen = np.negative(m)  # one array: each lowest set bit m & -m, then their running OR
+    seen &= m
+    np.bitwise_or.accumulate(seen, out=seen)  # a new block adds a bit
     new = np.empty(m.size, dtype=bool)
     new[:1] = True  # the first member's block is always new
     np.not_equal(seen[1:], seen[:-1], out=new[1:])
@@ -450,21 +428,6 @@ def decide_membership(
             f"but does not settle membership in the {ideal.kind} ideal"
         )
     return ideal.empirical(P, evidence)
-
-
-def filter_contains(
-    ideal: Ideal,
-    P: IndexSet,
-    complement_certificate: Optional[TailCertificate] = None,
-) -> IdealVerdict:
-    """Whether P belongs to the filter dual to the ideal.
-
-    P is in the filter exactly when its complement is in the ideal, so
-    this decides membership of the complement within the horizon; the
-    optional certificate describes the complement's tail. An InIdeal
-    status therefore means "P is in the filter".
-    """
-    return decide_membership(ideal, P.complement(), complement_certificate)
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Everything here works on plain float vectors and on `Subspace` objects,
 which store an orthonormal basis as rows of a read-only array. The module
-provides orthonormalization, orthogonal projection, point-to-subspace
-distance, the gap metric (a symmetric eigensolve of the residual's Gram)
-and the joint norm (a QR volume) of a vector family; the gap and
-orthonormality kernels also take stacks of bases. All functions are pure
-and safe to share across threads.
+provides orthonormalization, the cross-Gram, projection and residual of a
+stack of bases against one basis, the gap metric (a symmetric eigensolve
+of the residual's Gram) and the joint norm (a QR volume) of a vector
+family; the gap and orthonormality kernels also take stacks of bases. All
+functions are pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -132,22 +132,6 @@ def orthonormalize(vectors) -> Subspace:
             raise RankDeficiencyError(i)
         basis.append(w / norm)
     return Subspace(np.vstack(basis))
-
-
-def project(u, V: Subspace) -> np.ndarray:
-    """Orthogonal projection of u onto V: sum_j <u, v_j> v_j."""
-    x = _as_vector(u)
-    if x.size != V.ambient_dim:
-        raise DimensionMismatchError(
-            f"vector length {x.size} != ambient dimension {V.ambient_dim}"
-        )
-    return (x @ V.basis.T) @ V.basis
-
-
-def dist_point_subspace(u, V: Subspace) -> float:
-    """Distance from the point u to the subspace V, i.e. ||u - P_V(u)||."""
-    x = _as_vector(u)
-    return float(np.linalg.norm(x - project(x, V)))
 
 
 def cross_residual(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

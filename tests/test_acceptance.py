@@ -27,7 +27,6 @@ from subspace_limits import (
     n_norm,
     orthonormalize,
     parity_split_example,
-    project,
     self_projection_volume_check,
     subspace_i_converges,
 )
@@ -136,7 +135,7 @@ def test_criterion_3_identity_suite():
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
-        p = project(u, V)
+        p = (u @ V.basis.T) @ V.basis  # P_V(u)
         c = V.basis @ u  # coefficients <u, v_j>
         worst_proj = max(worst_proj, abs(float(c @ c) - float(p @ p)))
         total = n_norm(np.vstack([u, V.basis])) ** 2 + c @ c

@@ -17,14 +17,13 @@ from subspace_limits.cli import (
     EXIT_CONVERGES,
     EXIT_DOES_NOT_CONVERGE,
     EXIT_USAGE,
+    REPORT_SCHEMA,
     TRACE_HEADER,
     ConfigError,
     ExperimentConfig,
     build_experiment,
     load_config,
     main,
-    read_report,
-    report_verdicts,
     rotating_family,
     write_trace_csv,
 )
@@ -122,7 +121,7 @@ def test_analyze_orthogonal_constant_density(tmp_path, capsys):
         ]
     )
     assert code == EXIT_DOES_NOT_CONVERGE
-    doc = read_report(tmp_path / "out" / "report.json")
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["overall"] == "does_not_converge"
     assert doc["ideal"] == {"kind": "density", "tau": 0.01}
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
@@ -147,7 +146,7 @@ def test_analyze_parity_split_blocks(tmp_path):
         ]
     )
     assert code == EXIT_CONVERGES
-    doc = read_report(tmp_path / "out" / "report.json")
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["overall"] == "converges"
     rows = doc["criteria"][0]["per_vector"][0]["per_epsilon"]
     assert all(row["mode"] == "exact" for row in rows)
@@ -158,7 +157,7 @@ def test_analyze_defaults_to_recommended_ideal(tmp_path):
         ["analyze", "parity-split", "--horizon", "2000", "--out-dir", str(tmp_path / "o")]
     )
     assert code == EXIT_CONVERGES  # block ideal is the built-in default
-    doc = read_report(tmp_path / "o" / "report.json")
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert doc["ideal"]["kind"] == "blocks"
 
 
@@ -336,6 +335,7 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         ({"eps_grid": [math.inf, 0.5]}, ["parity-split", "--eps", "inf,0.5"], "eps_grid"),
         # a bool is not a number: these used to run as eps = 1, k = 1, d = 4 and seed = 2
         ({"eps_grid": [True, 0.5]}, None, "eps_grid"),
+        ({"eps_grid": ["0.5"]}, None, "eps_grid"),
         (rotating(k=True), None, "sequence.params.k"),
         (rotating(ambient_dim="4"), None, "sequence.params.ambient_dim"),
         (rotating(seed=2.9), None, "sequence.params.seed"),
@@ -392,6 +392,7 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "eps-nan",
         "eps-inf",
         "eps-bool",
+        "eps-string",
         "params-k-bool",
         "params-ambient-dim-string",
         "params-seed-float",
@@ -462,7 +463,7 @@ def test_suite_orthogonal_constant_agrees(tmp_path):
         ]
     )
     assert code == 0  # all five criteria agree (on does_not_converge)
-    doc = read_report(tmp_path / "out" / "suite_report.json")
+    doc = json.loads((tmp_path / "out" / "suite_report.json").read_text())
     assert doc["agreement"]["consistent"] is True
     assert set(doc["agreement"]["overall_by_criterion"].values()) == {
         "does_not_converge"
@@ -487,7 +488,7 @@ def test_suite_parity_split_blocks_all_converge(tmp_path):
         ]
     )
     assert code == 0
-    doc = read_report(tmp_path / "out" / "suite_report.json")
+    doc = json.loads((tmp_path / "out" / "suite_report.json").read_text())
     assert set(doc["agreement"]["overall_by_criterion"].values()) == {"converges"}
     matrix = doc["agreement"]["matrix"]
     assert all(all(cell for cell in row) for row in matrix)
@@ -580,12 +581,11 @@ def test_report_round_trip(tmp_path):
             str(out),
         ]
     )
-    doc = read_report(out / "report.json")
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["schema"] == REPORT_SCHEMA
     # re-serializing the parsed document reproduces the file exactly
     again = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert again == (out / "report.json").read_text()
-    # and the extracted verdicts survive the round trip
-    assert report_verdicts(doc) == report_verdicts(json.loads(again))
 
 
 def _cert(bound):
@@ -665,7 +665,7 @@ def test_report_verdicts_are_pinned(tmp_path, variant, kind, tau):
     flags = ["--variant", variant, "--ideal", kind] + (["--tau", tau] if tau else [])
     out = tmp_path / "out"
     main(["analyze", "parity-split", *flags, "--horizon", "64", "--out-dir", str(out)])
-    doc = read_report(out / "report.json")
+    doc = json.loads((out / "report.json").read_text())
     ideal, rows = PINNED_REPORTS[variant, kind, tau]
     assert doc["ideal"] == ideal
     got = doc["criteria"][0]["per_vector"][0]["per_epsilon"]

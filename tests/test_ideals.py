@@ -1,5 +1,7 @@
 """Tests for ideals, certificates and membership verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +20,6 @@ from subspace_limits import (
     axioms_check,
     block_index,
     decide_membership,
-    filter_contains,
-    partial_density,
 )
 from subspace_limits.ideals import (
     _block_first_occurrences,
@@ -160,7 +160,7 @@ def test_in_every_window_matches_the_window_loops(horizon, stride, start, extra)
     members = set(range(start, horizon + 1, stride)) | {e for e in extra if e <= horizon}
     P = IndexSet(horizon, sorted(members))
     # the finite ideal's rule: members in every window
-    want = all(P.count_up_to(hi) - P.count_up_to(lo) > 0 for lo, hi in _windows(horizon))
+    want = all(any(lo < m <= hi for m in P.members) for lo, hi in _windows(horizon))
     assert _in_every_window(P.members, horizon) == want
     # the block ideal's rule: a first occurrence of a block in every window
     events = _block_first_occurrences(P)
@@ -236,7 +236,7 @@ def test_index_set_normalizes_members():
     s = IndexSet(10, [3, 1, 3, 7])
     assert list(s.members) == [1, 3, 7]
     assert len(s) == 3
-    assert 3 in s and 2 not in s
+    assert 3 in s.members and 2 not in s.members
 
 
 def test_index_set_keeps_sorted_members_as_a_private_copy():
@@ -301,7 +301,9 @@ def test_certificates_take_numpy_integers_as_ints():
 
 def test_index_set_complement_and_union():
     s = IndexSet(6, [1, 4])
-    assert list(s.complement().members) == [2, 3, 5, 6]
+    rest = IndexSet(6, np.setdiff1d(np.arange(1, 7), s.members))  # the complement in {1..6}
+    assert list(rest.members) == [2, 3, 5, 6]
+    assert list(s.union(rest).members) == [1, 2, 3, 4, 5, 6]
     assert list(s.union(IndexSet(6, [2, 4])).members) == [1, 2, 4]
 
 
@@ -309,29 +311,23 @@ def test_index_set_complement_and_union():
 # densities
 
 
+def density_evidence(P):
+    """The density ideal's empirical evidence for P: final density and dyadic trail."""
+    return decide_membership(Ideal.density(), P).evidence
+
+
 def test_partial_density_odds():
-    assert partial_density(odds(100), 10) == pytest.approx(0.5)
-
-
-def test_partial_density_empty():
-    assert partial_density(IndexSet(50, []), 17) == 0.0
+    # |odds up to j| / j is ceil(j / 2) / j at each dyadic checkpoint
+    trail = density_evidence(odds(100))["checkpoints"]
+    assert trail == [(j, -(-j // 2) / j) for j in (6, 12, 25, 50, 100)]
 
 
 def test_partial_density_block_two():
     # D_2 up to 16 is {2, 6, 10, 14}
     block = dyadic_block(2, 16)
     assert list(block.members) == [2, 6, 10, 14]
-    assert partial_density(block, 16) == pytest.approx(0.25)
-
-
-def test_partial_density_beyond_horizon():
-    with pytest.raises(ValueError):
-        partial_density(IndexSet(10, [1]), 11)
-
-
-def density_evidence(P):
-    """The density ideal's empirical evidence for P: final density and dyadic trail."""
-    return decide_membership(Ideal.density(), P).evidence
+    trail = density_evidence(block)["checkpoints"]
+    assert trail == [(1, 0.0), (2, 0.5), (4, 0.25), (8, 0.25), (16, 0.25)]
 
 
 def test_density_estimate_odds():
@@ -351,7 +347,7 @@ def test_density_estimate_squares_decreasing():
     # the trail is the partial density at each dyadic checkpoint
     trail = evidence["checkpoints"]
     assert [j for j, _ in trail] == [625, 1250, 2500, 5000, 10_000]
-    assert trail == [(j, partial_density(squares, j)) for j, _ in trail]
+    assert trail == [(j, math.isqrt(j) / j) for j, _ in trail]  # isqrt(j) squares up to j
     densities = [d for _, d in trail]
     assert all(a >= b for a, b in zip(densities, densities[1:]))
 
@@ -458,7 +454,7 @@ def test_density_in_ideal_implies_small_final_density():
         P = IndexSet(horizon, members)
         verdict = decide_membership(ideal, P)
         if verdict.status is Status.IN_IDEAL:
-            assert partial_density(P, horizon) <= ideal.tau
+            assert len(P) / horizon <= ideal.tau
 
 
 def test_finite_prefix_in_ideal():
@@ -498,37 +494,28 @@ def test_blocks_full_set_not_in_ideal():
 # filters
 
 
+# P is in the filter dual to an ideal exactly when its complement is in the ideal,
+# so each test judges the complement in {1..horizon} directly.
+
+
 def test_filter_cofinite_set():
     tail = IndexSet(1000, np.arange(5, 1001))
-    verdict = filter_contains(Ideal.finite(), tail, EmptyTail(4))
+    rest = IndexSet(1000, np.setdiff1d(np.arange(1, 1001), tail.members))
+    verdict = decide_membership(Ideal.finite(), rest, EmptyTail(4))
     assert verdict.status is Status.IN_IDEAL
     assert verdict.mode is Mode.EXACT
 
 
 def test_filter_evens_under_block_ideal():
-    verdict = filter_contains(Ideal.blocks(), evens(1000), SubsetOfBlocks((1,)))
+    rest = IndexSet(1000, np.setdiff1d(np.arange(1, 1001), evens(1000).members))
+    verdict = decide_membership(Ideal.blocks(), rest, SubsetOfBlocks((1,)))
     assert verdict.status is Status.IN_IDEAL
     assert verdict.mode is Mode.EXACT
 
 
 def test_filter_empty_set_under_density():
-    verdict = filter_contains(Ideal.density(), IndexSet(1000, []))
+    verdict = decide_membership(Ideal.density(), IndexSet(1000, np.arange(1, 1001)))
     assert verdict.status is Status.NOT_IN_IDEAL  # complement is everything
-
-
-def test_filter_duality():
-    rng = np.random.default_rng(42)
-    for ideal in (Ideal.finite(), Ideal.density(), Ideal.blocks()):
-        for _ in range(20):
-            horizon = 500
-            members = rng.choice(
-                np.arange(1, horizon + 1), size=int(rng.integers(0, horizon)), replace=False
-            )
-            P = IndexSet(horizon, members)
-            assert (
-                filter_contains(ideal, P).status
-                is decide_membership(ideal, P.complement()).status
-            )
 
 
 # ---------------------------------------------------------------------------

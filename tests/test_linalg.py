@@ -13,13 +13,11 @@ from subspace_limits import (
     RankDeficiencyError,
     Subspace,
     det_bruteforce,
-    dist_point_subspace,
     gap,
     n_norm,
     orthonormalize,
-    project,
 )
-from subspace_limits.linalg import TOL_ORTHO, first_non_orthonormal, residual_gap
+from subspace_limits.linalg import TOL_ORTHO, cross_residual, first_non_orthonormal, residual_gap
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -191,27 +189,24 @@ def test_subspace_basis_read_only():
 
 
 # ---------------------------------------------------------------------------
-# project / distances
+# projection and residual: rows of P and R in cross_residual(A, B) are P_V(u_i)
+# and u_i - P_V(u_i), and rows of C the coefficients <u_i, v_j>
 
 
 def test_project_onto_own_span():
     S = orthonormalize([E1])
-    np.testing.assert_allclose(project(E1, S), E1, atol=1e-15)
+    np.testing.assert_allclose(cross_residual(E1[None], S.basis)[1], [E1], atol=1e-15)
 
 
 def test_project_orthogonal_complement():
     S = orthonormalize([E2])
-    np.testing.assert_allclose(project(E1, S), np.zeros(2), atol=1e-15)
+    np.testing.assert_allclose(cross_residual(E1[None], S.basis)[1], [[0.0, 0.0]], atol=1e-15)
 
 
 def test_project_coordinate_plane():
     S = orthonormalize([(1, 0, 0), (0, 0, 1)])
-    np.testing.assert_allclose(project((1.0, 1.0, 0.0), S), [1.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_project_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        project(np.ones(3), orthonormalize([E1]))
+    P = cross_residual(np.array([[1.0, 1.0, 0.0]]), S.basis)[1]
+    np.testing.assert_allclose(P, [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_projection_residual_orthogonal():
@@ -221,16 +216,17 @@ def test_projection_residual_orthogonal():
         k = int(rng.integers(1, d))
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
-        resid = u - project(u, V)
+        resid = cross_residual(u[None], V.basis)[2][0]
         assert np.max(np.abs(V.basis @ resid)) <= 1e-10
 
 
 def test_dist_point_subspace_basics():
     line1 = orthonormalize([E1])
     line2 = orthonormalize([E2])
-    assert dist_point_subspace(E1, line1) == pytest.approx(0.0, abs=1e-12)
-    assert dist_point_subspace(E1, line2) == pytest.approx(1.0, abs=1e-12)
-    assert dist_point_subspace((1.0, 1.0), line1) == pytest.approx(1.0, abs=1e-12)
+    R = cross_residual(np.array([E1, (1.0, 1.0)]), line1.basis)[2]
+    np.testing.assert_allclose(np.linalg.norm(R, axis=1), [0.0, 1.0], atol=1e-12)
+    R = cross_residual(E1[None], line2.basis)[2]
+    assert np.linalg.norm(R) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pythagoras():
@@ -241,14 +237,14 @@ def test_pythagoras():
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
         lhs = np.dot(u, u)
-        c = V.basis @ u  # coefficients <u, v_j>
-        rhs = c @ c + dist_point_subspace(u, V) ** 2
+        C, _, R = cross_residual(u[None], V.basis)  # coefficients <u, v_j> and residual
+        rhs = C[0] @ C[0] + R[0] @ R[0]
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
 
 def test_projection_norm_sq_values():
     def norm_sq(u, V):
-        p = project(u, V)
+        p = cross_residual(np.array([u]), V.basis)[1][0]
         return float(p @ p)
 
     assert norm_sq(E1, orthonormalize([E1])) == pytest.approx(1.0)
@@ -265,7 +261,7 @@ def test_projection_norm_identity():
         k = int(rng.integers(1, min(3, d) + 1))
         V = random_subspace(rng, d, k)
         u = rng.standard_normal(d)
-        p = project(u, V)
+        p = cross_residual(u[None], V.basis)[1][0]
         c = V.basis @ u
         assert abs(float(c @ c) - float(p @ p)) <= 1e-12
 
@@ -470,7 +466,7 @@ def test_n_norm_orthonormal_family():
 
 def test_n_norm_with_zero_projection():
     # the projection of e1 onto span{e2} is the zero vector
-    p = project(E1, orthonormalize([E2]))
+    p = cross_residual(E1[None], orthonormalize([E2]).basis)[1][0]
     assert n_norm([E1, p]) == pytest.approx(0.0, abs=1e-12)
     # more vectors than dimensions are always dependent
     assert n_norm([E1, E2, (1.0, 1.0)]) == 0.0
