@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import _g17, linalg
 from .convergence import (
     DEFAULT_EPS_GRID,
     PARITY_VARIANTS,
@@ -392,23 +392,43 @@ def build_experiment(cfg: ExperimentConfig):
 # Output files
 
 
+_BLOCK_VALUES = 2048  # float fields formatted per block; bounds the writer's memory
+
+
 def write_trace_csv(path: Path, traces: CriterionTraces) -> None:
-    """Per-index worst-case trace of all criteria, byte stable across runs."""
+    """Per-index worst-case trace of all criteria, byte stable across runs.
+
+    Every float field is exactly ``"%.17g" % value`` and every line ends in
+    "\\n". The file is written as bytes, so no platform newline or locale
+    setting changes it.
+    """
     worst = traces.residual.max(axis=1)
-    residual = list(map("%.17g".__mod__, worst.tolist()))
-    # a gap column bit-equal to it reuses its text; bits, since 0.0 == -0.0 prints apart
-    bit_equal = np.array_equal(traces.gap.view(np.uint64), worst.view(np.uint64))
-    rows = map("%d,%s,%s,%.17g,%.17g,%s\n".__mod__, zip(
-        range(1, traces.horizon + 1),
-        residual if bit_equal else map("%.17g".__mod__, traces.gap.tolist()),
-        residual,
-        traces.coefficient_mass.min(axis=1).tolist(),
-        traces.projection_norm.min(axis=1).tolist(),
-        residual,  # crit5_max_i, the joint volume, is the residual column itself
-    ))
-    with path.open("w") as f:  # row by row: the whole text is never held in memory
-        f.write(TRACE_HEADER + "\n")
-        f.writelines(rows)
+    # fields after n: gap, the residual, mass, projection norm, and the
+    # residual again as crit5_max_i, the joint volume
+    columns = [traces.gap, worst, traces.coefficient_mass.min(axis=1),
+               traces.projection_norm.min(axis=1)]
+    # a gap column bit-equal to the residual shares its text; bits, since 0.0 == -0.0 prints apart
+    shared = int(np.array_equal(traces.gap.view(np.uint64), worst.view(np.uint64)))
+    columns = columns[shared:]
+    index_words = 1 if traces.horizon < 10**8 else 2
+    rows = _BLOCK_VALUES // len(columns)
+    line = np.empty((rows, index_words + 5 * _g17.WORDS), _g17.WORD)
+    fields = line[:, index_words:].reshape(rows, 5, _g17.WORDS)
+    values = np.empty((len(columns), rows))
+    with path.open("wb") as f:  # block by block: the whole text is never held in memory
+        f.write(TRACE_HEADER.encode() + b"\n")
+        for start in range(0, traces.horizon, rows):
+            m = min(rows, traces.horizon - start)
+            for k, column in enumerate(columns):
+                values[k, :m] = column[start : start + m]
+            line[:m, :index_words] = _g17.format_indices(start + 1, m, index_words)
+            _g17.format_floats(values[:, :m], fields[:m, shared:4].transpose(1, 2, 0))
+            fields[:m, 4] = fields[:m, 1]
+            if shared:
+                fields[:m, 0] = fields[:m, 1]
+            fields[:m, 4, -1] |= ord("\n") << 56  # the free last byte of the line's last field
+            text = line[:m].view(np.uint8)
+            f.write(text[text != 0])  # dropping the pads leaves the lines
 
 
 def _scalar_limit_to_dict(rep: ScalarLimitReport) -> dict:
@@ -586,6 +606,8 @@ def _load_matrix(path: str) -> np.ndarray:
             matrix = np.loadtxt(path, ndmin=2, delimiter=",")
     if matrix.size == 0:
         raise ValueError(f"basis file {path} holds no vectors")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"basis file {path} has non-finite entries")
     return matrix
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_limits import cli
+from subspace_limits import _g17, cli
 from subspace_limits.cli import (
     EXIT_CONVERGES,
     EXIT_DOES_NOT_CONVERGE,
@@ -101,6 +101,22 @@ def test_gap_empty_file_is_a_usage_error_naming_it(tmp_path, capsys, u_text, v_t
     assert main(["gap", u, v]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: basis file {tmp_path / named} holds no vectors\n"
+
+
+@pytest.mark.parametrize("u_text, v_text, named", [
+    ("nan 0\n", "1 0\n", "u.txt"),
+    ("1 0\n", "0 inf\n", "v.txt"),
+    ("1,0\n0,-inf\n", "1,0\n0,1\n", "u.txt"),
+    ("1 0\n", "nan nan\n", "v.txt"),
+])
+def test_gap_non_finite_entry_is_a_usage_error_naming_the_file(
+    tmp_path, capsys, u_text, v_text, named
+):
+    u = write(tmp_path / "u.txt", u_text)
+    v = write(tmp_path / "v.txt", v_text)
+    assert main(["gap", u, v]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: basis file {tmp_path / named} has non-finite entries\n"
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +795,82 @@ def test_trace_csv_matches_the_per_row_template(tmp_path, make, share):
         assert bits.all()
     elif share == "some":
         assert 0.2 < bits.mean() < 0.8
+    write_trace_csv(tmp_path / "trace.csv", traces)
+    assert (tmp_path / "trace.csv").read_bytes() == per_row_trace(traces)
+
+
+def g17_texts(values) -> list:
+    """The trace writer's text of each value: _g17.format_floats, its leading "," dropped."""
+    v = np.array(values, dtype=float).reshape(1, -1)
+    out = np.zeros((1, _g17.WORDS, v.shape[1]), _g17.WORD)
+    _g17.format_floats(v, out)
+    rows = np.ascontiguousarray(out[0].T).view(np.uint8)
+    return [bytes(row[row != 0])[1:] for row in rows]
+
+
+def assert_g17(values):
+    values = [float(x) for x in values]
+    wrong = [
+        (x, text) for x, text in zip(values, g17_texts(values)) if text != b"%.17g" % x
+    ]
+    assert not wrong, f"{len(wrong)} texts differ from %.17g, first {wrong[:3]}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_g17_matches_percent_format_on_any_double(values):
+    # st.floats draws NaN, +-inf, +-0, subnormals and the extremes
+    assert_g17(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_g17_matches_percent_format_on_random_bit_patterns(bits):
+    assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_g17_matches_percent_format_on_adversarial_values():
+    values = [5e-324, 1.7976931348623157e308, 0.0, math.nan, math.inf]
+    # 10^e and both neighbours; some nearest doubles lie just below 10^e and
+    # round up into the next decade at 17 digits (1e-14, 1e-70, 1e-305)
+    for e in range(-323, 309):
+        x = float(f"1e{e}")
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
+    # exact 17-digit ties, which round half to even: 16 integer digits and .25 or .75
+    values += [2.0**50 + j + f for j in range(200) for f in (0.25, 0.75)]
+    # about one part in 2^53 below each power of ten
+    values += [float.fromhex("0x1.fffffffffffffp-1") * 10.0**e for e in range(-300, 17)]
+    assert_g17(values + [-x for x in values])
+
+
+def test_g17_indices_match_percent_d():
+    for first, count, words in [(1, 5000, 1), (99_999_990, 20, 2), (10**15 - 5, 10, 2)]:
+        rows = np.ascontiguousarray(_g17.format_indices(first, count, words)).view(np.uint8)
+        assert [bytes(row[row != 0]) for row in rows] == [
+            b"%d" % n for n in range(first, first + count)
+        ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: criterion_traces(*parity_split_example("amended")[:2], 10_000),
+        lambda: criterion_traces(*parity_split_example("printed")[:2], 10_000),
+        lambda: _rotating_traces(1, 0),
+        lambda: _rotating_traces(8, 0),
+    ],
+    ids=["parity-amended", "parity-printed", "rotating-k1-d40", "rotating-k8-d40"],
+)
+def test_production_traces_never_take_the_slow_path(tmp_path, monkeypatch, make):
+    # a value that leaves the numpy path costs a Python "%.17g" call; these
+    # traces must not, or the writer is silently back to the old speed
+    def refuse(values):
+        if values:
+            raise AssertionError(f"values took the per-value fallback: {values[:5]}")
+        return []
+
+    monkeypatch.setattr(_g17, "_slow", refuse)
+    traces = make()
     write_trace_csv(tmp_path / "trace.csv", traces)
     assert (tmp_path / "trace.csv").read_bytes() == per_row_trace(traces)
 
