@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import itertools
 import numbers
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Optional, Sequence, Union
@@ -30,8 +31,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 DEFAULT_TAU = 0.01             # density threshold separating small from large
-STABILIZATION_FRACTION = 0.2   # trailing window that must stay free of new members
-BLOCK_WINDOW_FRACTION = 0.2    # same, for newly seen block indices
+STABILIZATION_FRACTION = 0.2   # trailing window free of new members (or new block indices)
 DYADIC_CHECKPOINTS = 5         # partial densities at horizon / 2^i, i = 0..4
 
 
@@ -54,6 +54,7 @@ def block_index(n: int) -> int:
     n belongs to block j exactly when its lowest set bit n & -n, the
     largest power of two dividing n, is 2^(j-1).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"naturals start at 1, got {n}")
     return (n & -n).bit_length()
@@ -165,6 +166,9 @@ class SubsetOfUnion:
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("need at least one component certificate")
+        for part in parts:
+            if not isinstance(part, (EmptyTail, SubsetOfBlocks, SubsetOfUnion)):
+                raise TypeError(f"not a tail certificate: {part!r}")
         object.__setattr__(self, "parts", parts)
 
 
@@ -204,13 +208,6 @@ def validate_certificate(cert: TailCertificate, index_set: IndexSet) -> None:
             f"member {int(escaped[0])} is outside the certified superset "
             f"({certificate_describe(cert)})"
         )
-
-
-def _finite_superset(cert: TailCertificate) -> bool:
-    """Whether a validated certificate's superset is finite: it names no block."""
-    if isinstance(cert, SubsetOfUnion):
-        return all(_finite_superset(p) for p in cert.parts)
-    return isinstance(cert, EmptyTail)
 
 
 # --------------------------------------------------------------------------
@@ -286,9 +283,15 @@ class Ideal(abc.ABC):
     def describe(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
 
-    @abc.abstractmethod
     def settles(self, cert: TailCertificate) -> bool:
-        """Whether the certified superset, and so every set inside it, is in the ideal."""
+        """Whether the certified superset, and so every set inside it, is in the ideal.
+
+        A union settles when each part does. By default only a finite superset,
+        one that names no block, settles: every admissible ideal holds it.
+        """
+        if isinstance(cert, SubsetOfUnion):
+            return all(self.settles(p) for p in cert.parts)
+        return isinstance(cert, EmptyTail)
 
     @abc.abstractmethod
     def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
@@ -304,9 +307,6 @@ class FiniteIdeal(Ideal):
     """
 
     kind: ClassVar[str] = "finite"
-
-    def settles(self, cert: TailCertificate) -> bool:
-        return _finite_superset(cert)
 
     def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
         window = max(1, int(STABILIZATION_FRACTION * P.horizon))
@@ -337,9 +337,6 @@ class DensityIdeal(Ideal):
         if not isinstance(self.tau, numbers.Real) or not 0.0 < self.tau < 0.5:
             raise ValueError(f"tau must be a number in (0, 0.5), got {self.tau!r}")
 
-    def settles(self, cert: TailCertificate) -> bool:
-        return _finite_superset(cert)
-
     def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
         if P.horizon < 16:
             evidence = {**evidence, "note": "horizon too small for a density trend"}
@@ -369,7 +366,7 @@ class BlockIdeal(Ideal):
 
     Every certificate settles membership, since each names finitely many
     blocks plus a finite set. Empirically, NotInIdeal needs a new block index
-    in every dyadic window, InIdeal none in the trailing ``BLOCK_WINDOW_FRACTION``.
+    in every dyadic window, InIdeal none in the trailing ``STABILIZATION_FRACTION``.
     """
 
     kind: ClassVar[str] = "blocks"
@@ -378,7 +375,7 @@ class BlockIdeal(Ideal):
         return True
 
     def empirical(self, P: IndexSet, evidence: dict) -> IdealVerdict:
-        window = max(1, int(BLOCK_WINDOW_FRACTION * P.horizon))
+        window = max(1, int(STABILIZATION_FRACTION * P.horizon))
         events = _block_first_occurrences(P)
         last_new = events[-1] if events else 0
         evidence = {
@@ -461,7 +458,8 @@ def axioms_check(
     into a union certificate) and under taking subsets (which inherit the
     superset's certificate); every singleton is a member (admissibility);
     and the full horizon set without a certificate is never exactly
-    InIdeal (non-triviality proxy).
+    InIdeal (non-triviality proxy). A failed check's detail lists its
+    failing cases as ``label -> status``.
     """
     if not family:
         raise ValueError("need at least one family member")
@@ -469,72 +467,38 @@ def axioms_check(
     if any(p.horizon != horizon for p, _ in family):
         raise ValueError("family members must share a horizon")
 
-    checks: list[AxiomCheck] = []
-
-    empty = IndexSet(horizon, [])
-    v = decide_membership(ideal, empty, EmptyTail(0))
-    checks.append(
-        AxiomCheck("empty_set", v.status is Status.IN_IDEAL, f"status={v.status.value}")
-    )
-
     in_ideal = [
         (p, c) for p, c in family
         if decide_membership(ideal, p, c).status is Status.IN_IDEAL
     ]
-
-    union_ok, union_notes = True, []
-    for i in range(len(in_ideal)):
-        for j in range(i + 1, len(in_ideal)):
-            (pa, ca), (pb, cb) = in_ideal[i], in_ideal[j]
-            merged = SubsetOfUnion((ca, cb)) if ca is not None and cb is not None else None
-            vu = decide_membership(ideal, pa.union(pb), merged)
-            if vu.status is not Status.IN_IDEAL:
-                union_ok = False
-                union_notes.append(f"pair ({i},{j}) -> {vu.status.value}")
-    checks.append(
-        AxiomCheck(
-            "union_closure",
-            union_ok,
-            "; ".join(union_notes) or f"{len(in_ideal)} members, all pairwise unions InIdeal",
-        )
-    )
-
-    subset_ok, subset_notes = True, []
-    for idx, (p, c) in enumerate(in_ideal):
-        for label, sub in (
-            ("first_half", p.members[: len(p) // 2]),
-            ("alternate", p.members[::2]),
-        ):
-            vs = decide_membership(ideal, IndexSet(horizon, sub), c)
-            if vs.status is not Status.IN_IDEAL:
-                subset_ok = False
-                subset_notes.append(f"member {idx} {label} -> {vs.status.value}")
-    checks.append(
-        AxiomCheck(
-            "subset_closure",
-            subset_ok,
-            "; ".join(subset_notes) or "prefix and alternate subsets stay InIdeal",
-        )
-    )
-
     singles = sorted({1, 2, 3, max(1, horizon // 2), horizon})
-    single_ok = True
-    for z in singles:
-        vz = decide_membership(ideal, IndexSet(horizon, [z]), EmptyTail(z))
-        single_ok = single_ok and vz.status is Status.IN_IDEAL
-    checks.append(
-        AxiomCheck("admissibility", single_ok, f"singletons {singles} all InIdeal")
-    )
+    # each axiom: its name, the labelled (set, certificate) cases that must all
+    # come out InIdeal, and the detail reported when they do
+    table = [
+        ("empty_set", [("empty set", IndexSet(horizon, []), EmptyTail(0))], "status=in_ideal"),
+        ("union_closure", [
+            (f"pair ({i},{j})", pa.union(pb),
+             SubsetOfUnion((ca, cb)) if ca is not None and cb is not None else None)
+            for (i, (pa, ca)), (j, (pb, cb)) in itertools.combinations(enumerate(in_ideal), 2)
+        ], f"{len(in_ideal)} members, all pairwise unions InIdeal"),
+        ("subset_closure", [
+            (f"member {i} {label}", IndexSet(horizon, sub), c)
+            for i, (p, c) in enumerate(in_ideal)
+            for label, sub in (("first_half", p.members[: len(p) // 2]),
+                               ("alternate", p.members[::2]))
+        ], "prefix and alternate subsets stay InIdeal"),
+        ("admissibility", [
+            (f"singleton {z}", IndexSet(horizon, [z]), EmptyTail(z)) for z in singles
+        ], f"singletons {singles} all InIdeal"),
+    ]
+    checks = []
+    for name, cases, success in table:
+        statuses = [(label, decide_membership(ideal, P, c).status) for label, P, c in cases]
+        failed = [f"{label} -> {st.value}" for label, st in statuses if st is not Status.IN_IDEAL]
+        checks.append(AxiomCheck(name, not failed, "; ".join(failed) or success))
 
-    full = IndexSet(horizon, np.arange(1, horizon + 1))
-    vf = decide_membership(ideal, full, None)
-    nontrivial = not (vf.status is Status.IN_IDEAL and vf.mode is Mode.EXACT)
-    checks.append(
-        AxiomCheck(
-            "non_triviality",
-            nontrivial,
-            f"full horizon set -> {vf.status.value} ({vf.mode.value})",
-        )
-    )
-
-    return AxiomsReport(tuple(checks))
+    # non_triviality asks the opposite: the full set must not be an exact InIdeal
+    vf = decide_membership(ideal, IndexSet(horizon, np.arange(1, horizon + 1)), None)
+    exact_full = vf.status is Status.IN_IDEAL and vf.mode is Mode.EXACT
+    detail = f"full horizon set -> {vf.status.value} ({vf.mode.value})"
+    return AxiomsReport((*checks, AxiomCheck("non_triviality", not exact_full, detail)))

@@ -17,11 +17,22 @@ def test_demos_exist():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path):
+def run_demo(path):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         runpy.run_path(str(path), run_name="__main__")
-    assert out.getvalue()
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    assert run_demo(path)
+
+
+def test_demo_02_finds_every_ideal_admissible():
+    out = run_demo(ROOT / "demos" / "02_ideals_and_densities.py")
+    verdicts = dict(re.findall(r"^  (\w+) +(admissible|NOT admissible): ", out, re.M))
+    assert verdicts == {"finite": "admissible", "density": "admissible", "blocks": "admissible"}
+    assert "FAILED" not in out
 
 
 def test_readme_python_blocks_run():

@@ -1,6 +1,8 @@
 """Tests for ideals, certificates and membership verdicts."""
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from subspace_limits import (
     CertificateError,
     EmptyTail,
     Ideal,
+    IdealVerdict,
     IndexSet,
     Mode,
     Status,
@@ -57,6 +60,17 @@ def test_block_index_basics():
 def test_block_index_rejects_zero():
     with pytest.raises(ValueError):
         block_index(0)
+
+
+def test_block_index_takes_numpy_integers():
+    for n in (np.int64(12), np.uint8(12), np.int32(12)):
+        assert block_index(n) == 3 and type(block_index(n)) is int
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True, np.True_, np.float64(4), "4"], ids=repr)
+def test_block_index_rejects_non_integers(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        block_index(n)
 
 
 def test_blocks_partition_naturals():
@@ -299,6 +313,14 @@ def test_certificates_take_numpy_integers_as_ints():
     assert blocks.blocks == (1, 3) and all(type(b) is int for b in blocks.blocks)
 
 
+@pytest.mark.parametrize("parts", [
+    (1,), (EmptyTail(3), "blocks"), (SubsetOfBlocks((1,)), None), [EmptyTail(3), (2,)],
+], ids=repr)
+def test_union_certificate_rejects_a_non_certificate_part_when_built(parts):
+    with pytest.raises(TypeError, match="not a tail certificate"):
+        SubsetOfUnion(parts)
+
+
 def test_index_set_complement_and_union():
     s = IndexSet(6, [1, 4])
     rest = IndexSet(6, np.setdiff1d(np.arange(1, 7), s.members))  # the complement in {1..6}
@@ -385,6 +407,20 @@ def test_finite_ideal_accepts_empty_tail_certificate():
     certified = decide_membership(Ideal.finite(), s, EmptyTail(1000))
     assert certified.status is Status.IN_IDEAL
     assert certified.mode is Mode.EXACT
+
+
+@pytest.mark.parametrize("cert, finite", [
+    (EmptyTail(7), True),
+    (SubsetOfUnion((EmptyTail(3), EmptyTail(7))), True),
+    (SubsetOfUnion((EmptyTail(3), SubsetOfUnion((EmptyTail(7),)))), True),
+    (SubsetOfBlocks((1,)), False),
+    (SubsetOfUnion((EmptyTail(7), SubsetOfBlocks((5,)))), False),
+    (SubsetOfUnion((EmptyTail(3), SubsetOfUnion((EmptyTail(7), SubsetOfBlocks((1,)))))), False),
+], ids=repr)
+def test_only_finite_certified_supersets_settle_the_smaller_ideals(cert, finite):
+    for ideal in IDEALS.values():
+        settled = ideal().settles(cert)
+        assert settled is (finite or ideal.kind == "blocks"), ideal.kind
 
 
 def test_density_ideal_ignores_block_certificate():
@@ -539,6 +575,108 @@ def test_axioms_pass_for_all_kinds():
         assert ideal.kind == kind and ideal.describe()["kind"] == kind
         report = axioms_check(ideal, certified_family(horizon))
         assert report.passed, [c for c in report.checks if not c.passed]
+
+
+AXIOM_SUCCESS_DETAILS = {
+    "empty_set": "status=in_ideal",
+    "subset_closure": "prefix and alternate subsets stay InIdeal",
+    "admissibility": "singletons [1, 2, 3, 500, 1000] all InIdeal",
+    "non_triviality": "full horizon set -> not_in_ideal (empirical)",
+}
+
+
+@pytest.mark.parametrize("kind, in_ideal", [("finite", 3), ("density", 3), ("blocks", 5)])
+def test_axioms_success_details(kind, in_ideal):
+    report = axioms_check(IDEALS[kind](), certified_family(1000))
+    expected = {
+        **AXIOM_SUCCESS_DETAILS,
+        "union_closure": f"{in_ideal} members, all pairwise unions InIdeal",
+    }
+    assert {c.name: c.detail for c in report.checks} == expected
+    assert [c.name for c in report.checks] == [
+        "empty_set", "union_closure", "subset_closure", "admissibility", "non_triviality",
+    ]
+
+
+@dataclass(frozen=True)
+class RefusingIdeal(Ideal):
+    """Holds every set but the ``refused`` member lists and the full horizon,
+    every verdict exact, so that any one axiom can be made to fail."""
+
+    kind: ClassVar[str] = "refusing"
+    refused: tuple = ()
+    holds_full: bool = False
+
+    def settles(self, cert):
+        return False
+
+    def empirical(self, P, evidence):
+        full = len(P) == P.horizon and not self.holds_full
+        refused = full or P.members.tolist() in self.refused
+        status = Status.NOT_IN_IDEAL if refused else Status.IN_IDEAL
+        return IdealVerdict(status, Mode.EXACT, evidence)
+
+
+REFUSING_FAMILY = [
+    (IndexSet(100, [2, 4]), EmptyTail(4)),
+    (IndexSet(100, [6, 8, 10, 12]), EmptyTail(12)),
+]
+
+
+@pytest.mark.parametrize("ideal, failures", [
+    (RefusingIdeal(refused=([],)), {"empty_set": "not_in_ideal"}),
+    (RefusingIdeal(refused=([2, 4, 6, 8, 10, 12],)),
+     {"union_closure": "pair (0,1) -> not_in_ideal"}),
+    (RefusingIdeal(refused=([6, 10],)),
+     {"subset_closure": "member 1 alternate -> not_in_ideal"}),
+    (RefusingIdeal(refused=([3],)), {"admissibility": "singleton 3 -> not_in_ideal"}),
+    (RefusingIdeal(holds_full=True),
+     {"non_triviality": "full horizon set -> in_ideal (exact)"}),
+    (RefusingIdeal(refused=([2],)), {
+        "subset_closure": "member 0 first_half -> not_in_ideal; "
+                          "member 0 alternate -> not_in_ideal",
+        "admissibility": "singleton 2 -> not_in_ideal",
+    }),
+], ids=["empty_set", "union_closure", "subset_closure", "admissibility", "non_triviality",
+        "two-checks"])
+def test_axioms_report_each_failing_case(ideal, failures):
+    report = axioms_check(ideal, REFUSING_FAMILY)
+    assert report.passed is False
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failed.keys() == failures.keys()
+    for name, case in failures.items():
+        assert case in failed[name]
+
+
+FOUND_IN_ROADMAP_ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    reason="empirical rules break union closure; ROADMAP item 1 orders them along inclusions",
+)
+
+
+@FOUND_IN_ROADMAP_ITEM_1
+def test_density_union_closure_holds_at_the_tau_boundary():
+    # the squares up to 10^4 have final density exactly tau; with {2, 4} added
+    # the union reads inconclusive
+    horizon = 10_000
+    squares = IndexSet(horizon, [i * i for i in range(1, 101)])
+    family = [(squares, None), (IndexSet(horizon, [2, 4]), EmptyTail(4))]
+    report = axioms_check(Ideal.density(), family)
+    union = {c.name: c for c in report.checks}["union_closure"]
+    assert union.passed, union.detail
+
+
+@FOUND_IN_ROADMAP_ITEM_1
+def test_blocks_union_closure_holds_for_a_set_and_its_complement():
+    # blocks 1-5 (485 indices) and the 15 indices of blocks 6-9 each read
+    # in_ideal; their union is all of {1..500}
+    horizon = 500
+    n = np.arange(1, horizon + 1)
+    low = (n & -n) <= 16  # blocks 1..5
+    family = [(IndexSet(horizon, n[low]), None), (IndexSet(horizon, n[~low]), None)]
+    report = axioms_check(Ideal.blocks(), family)
+    union = {c.name: c for c in report.checks}["union_closure"]
+    assert union.passed, union.detail
 
 
 def test_axioms_union_of_blocks():
