@@ -25,6 +25,8 @@ import contextlib
 import functools
 import json
 import numbers
+import operator
+import random
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -210,9 +212,14 @@ def rotating_family(
     A deterministic orthonormal frame is drawn from ``seed``: its first k
     rows span the candidate limit unless ``limit_basis`` overrides them, and
     the next k are the companion directions. Only these 2k rows are drawn and
-    orthonormalized. They equal the first 2k rows of a full d-row frame, as
-    Gram-Schmidt row i depends only on the rows before it and the normal
-    stream's prefix does not depend on how many rows are drawn.
+    orthonormalized. Their entries are ``2u - 1``, uniform in [-1, 1), with
+    u read row by row from the standard library's ``random.Random(seed)``,
+    whose stream Python keeps across versions: a seed names the same frame
+    under any NumPy version, though not the one it named when NumPy's normal
+    generator drew the frame. The rows equal the first 2k rows of a full
+    d-row frame, as Gram-Schmidt row i depends only on the rows before it and
+    the stream's prefix does not depend on how many rows are drawn. ``seed``
+    is an integer (``operator.index``); a float seed is a TypeError.
     Basis vector i of U_n is cos(theta) v_i + sin(theta) w_i where w_i is
     the i-th companion direction and sin(theta) = profile(n)[i], so the
     gap to the limit is exactly max_i profile(n)[i]. Profiles:
@@ -240,8 +247,10 @@ def rotating_family(
             raise ConfigError(
                 "limit_basis", f"expected {k} rows of length {ambient_dim}"
             )
-    rng = np.random.default_rng(seed)
-    randoms = rng.standard_normal((2 * k - len(limit_rows), ambient_dim))
+    rng = random.Random(operator.index(seed))
+    rows = 2 * k - len(limit_rows)
+    uniforms = np.array([rng.random() for _ in range(rows * ambient_dim)])
+    randoms = (2.0 * uniforms - 1.0).reshape(rows, ambient_dim)  # exact: [-1, 1) on a 2^-52 grid
     frame = orthonormalize(np.vstack([limit_rows, randoms])).basis
     V = Subspace(frame[:k])
     companions = frame[k:]
@@ -310,8 +319,10 @@ class ExperimentConfig:
 
 
 def _read_document(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
+    try:  # bytes: json detects UTF-8/16/32 itself, so the locale plays no part
+        doc = json.loads(Path(path).read_bytes())
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<document>", f"not UTF-8, UTF-16 or UTF-32 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -492,7 +503,8 @@ def report_to_dict(
 
 
 def write_report(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Sorted, indented ASCII JSON ending in "\\n", written as bytes like the trace."""
+    path.write_bytes(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
 
 
 # --------------------------------------------------------------------------
@@ -634,7 +646,7 @@ def cmd_example(args) -> int:
     print(f"{args.name}: {entry['summary']}")
     if args.emit_config:
         path = Path(args.emit_config)
-        path.write_text(json.dumps(_builtin_config(args.name), indent=2, sort_keys=True) + "\n")
+        write_report(path, _builtin_config(args.name))
         print(f"wrote {path}")
     return EXIT_CONVERGES
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -554,13 +555,68 @@ def test_importing_the_cli_builds_no_parser():
         "cli.build_parser()\n"
         "print(len(built) > 0)\n"
     )
+    assert run_fresh(code) == "0 0\nTrue\n"
+
+
+def run_fresh(code: str, *flags: str, cwd=None) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 0\nTrue\n"
+    return done.stdout
+
+
+def test_cli_runs_never_import_numpy_random(tmp_path):
+    # a new interpreter, as pytest or hypothesis may already hold numpy.random here;
+    # importing it loads ~6 MiB (secrets, hashlib, libcrypto) for the life of the process
+    doc = {
+        **rotating(ambient_dim=40, k=8, seed=0),
+        "ideal": {"kind": "density", "tau": 0.01},
+        "horizon": 2000,
+        "eps_grid": [0.5, 0.1, 0.01],
+    }
+    write(tmp_path / "rotating.json", json.dumps(doc))
+    code = (
+        "import sys\n"
+        "from subspace_limits import cli\n"
+        "codes = [cli.main(['analyze', '--config', 'rotating.json', '--out-dir', 'rot']),\n"
+        "         cli.main(['suite', 'parity-split', '--horizon', '2000', '--out-dir', 'par'])]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    out = run_fresh(code, cwd=tmp_path)
+    assert out.splitlines()[-1] == "[0, 0] False"
+
+
+def test_cli_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
+    # under these flags any text-mode open without an encoding raises
+    argvs = [
+        ["example", "parity-split", "--emit-config", "emitted.json"],
+        ["analyze", "--config", "emitted.json", "--out-dir", "analyze"],
+        ["suite", "parity-split", "--horizon", "2000", "--out-dir", "suite"],
+    ]
+    code = f"from subspace_limits import cli\nprint([cli.main(a) for a in {argvs!r}])\n"
+    strict = tmp_path / "strict"
+    strict.mkdir()
+    out = run_fresh(code, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", cwd=strict)
+    assert out.splitlines()[-1] == "[0, 0, 0]"
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    monkeypatch.chdir(plain)
+    assert [main(a) for a in argvs] == [0, 0, 0]
+    files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+    assert len(files) == 5
+    for name in files:
+        data = (strict / name).read_bytes()
+        assert data == (plain / name).read_bytes(), name
+        if name.suffix == ".json":  # what a text-mode write of the dumped document gave
+            text = json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n"
+            assert data == text.encode("ascii"), name
+    emitted = json.dumps(cli._builtin_config("parity-split"), indent=2, sort_keys=True) + "\n"
+    assert (strict / "emitted.json").read_bytes() == emitted.encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +1053,23 @@ def test_load_config_rejects_non_json(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"horizon": "\xff"}')
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.field == "<document>"
+    assert "not UTF-8, UTF-16 or UTF-32 text" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32-le"])
+def test_load_config_reads_any_json_encoding(tmp_path, encoding):
+    doc = {**PARITY_CONFIG, "out_dir": "\u00e9t\u00e9"}
+    path = tmp_path / "c.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode(encoding))
+    assert load_config(path) == ExperimentConfig(**doc)
+
+
 def test_config_requires_one_sequence_source():
     cfg = ExperimentConfig(
         sequence={},
@@ -1026,11 +1099,17 @@ def test_rotating_family_needs_room_for_companions():
         rotating_family(3, 2, {"kind": "constant", "value": 0.0})
 
 
-def _reference_frame(v_rows: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
-    """The frame completion rotating_family used before it called orthonormalize."""
+def _reference_frame(v_rows: np.ndarray, d: int, rng: random.Random) -> np.ndarray:
+    """Gram-Schmidt completion of ``v_rows`` to d rows, one drawn row at a time.
+
+    Each new row is d uniforms ``2u - 1`` from the standard library stream,
+    orthogonalized twice against the rows before it and normalized. This is
+    the loop rotating_family ran before it called orthonormalize, drawing
+    from the stream it reads now instead of NumPy's normal generator.
+    """
     rows = [r for r in v_rows]
     while len(rows) < d:
-        w = rng.standard_normal(d)
+        w = np.array([2.0 * rng.random() - 1.0 for _ in range(d)])
         for b in rows:
             w -= (w @ b) * b
         for b in rows:
@@ -1051,11 +1130,21 @@ def test_rotating_family_frame_matches_reference(seed, dk, with_limit):
     d, k = dk
     limit = np.random.default_rng(seed + 1).standard_normal((k, d)) if with_limit else None
     v_rows = orthonormalize(limit).basis if with_limit else np.empty((0, d))
-    frame = _reference_frame(v_rows, d, np.random.default_rng(seed))
+    frame = _reference_frame(v_rows, d, random.Random(seed))
     # a constant sine of 1 turns every limit direction into its companion
     seq, V = rotating_family(d, k, {"kind": "constant", "value": 1.0}, seed, limit)
     assert np.array_equal(V.basis, frame[:k])
     assert np.array_equal(seq.rule(1).basis, frame[k : 2 * k])
+
+
+def test_rotating_family_seed_is_an_integer():
+    profile = {"kind": "constant", "value": 1.0}
+    seq, V = rotating_family(12, 3, profile, 3)
+    seq64, V64 = rotating_family(12, 3, profile, np.int64(3))
+    assert np.array_equal(V64.basis, V.basis)
+    assert np.array_equal(seq64.rule(1).basis, seq.rule(1).basis)
+    with pytest.raises(TypeError):
+        rotating_family(12, 3, profile, 2.9)
 
 
 @pytest.mark.parametrize("with_limit", [False, True])
