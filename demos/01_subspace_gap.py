@@ -8,7 +8,8 @@ brute-force sampler.
 
 import numpy as np
 
-from subspace_limits import SamplingPlan, gap, gap_bruteforce, orthonormalize
+from subspace_limits import gap, orthonormalize
+from subspace_limits.oracle import SamplingPlan, gap_bruteforce
 
 # Any independent spanning set becomes an orthonormal basis.
 plane = orthonormalize([(1.0, 1.0, 0.0), (1.0, 0.0, 1.0)])

@@ -1,11 +1,9 @@
 """Gap metric between subspaces of R^d and ideal-based convergence analysis.
 
-The library splits into four layers:
+The library splits into three layers:
 
 * :mod:`subspace_limits.linalg` -- orthonormal bases, the batched
   residual kernels, the gap metric and joint norms;
-* :mod:`subspace_limits.oracle` -- slow, independent brute-force versions
-  of the same quantities, used for cross-checking;
 * :mod:`subspace_limits.ideals` -- ideals on N, one class per family
   (finite, zero-density, dyadic-block), with certificate-backed
   membership verdicts;
@@ -14,7 +12,9 @@ The library splits into four layers:
   with five equivalent criteria evaluated side by side.
 
 The console script ``subspace-limits`` (see :mod:`subspace_limits.cli`)
-wraps the engine for file-based experiments.
+wraps the engine for file-based experiments. :mod:`subspace_limits.oracle`
+holds slow, independent brute-force versions of the linalg quantities for
+cross-checking; it is imported from there, never by the package itself.
 """
 
 from types import ModuleType as _ModuleType
@@ -62,7 +62,6 @@ from .linalg import (
     n_norm,
     orthonormalize,
 )
-from .oracle import SamplingPlan, det_bruteforce, gap_bruteforce, jacobi_eigenvalues
 
 __version__ = "0.1.0"
 

@@ -89,6 +89,17 @@ def _object(value, field: str, known, required=()) -> None:
             raise ConfigError(prefix + key, "is required")
 
 
+def _kind(value, field: str, kinds: dict):
+    """The ``kinds`` entry a config object's "kind" names, checked before its other keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(field, "must be an object")
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        got = f", got {kind!r}" if "kind" in value else ""
+        raise ConfigError(f"{field}.kind", f"must be one of {list(kinds)}{got}")
+    return kinds[kind]
+
+
 def _number(value, field: str, integer: bool = False):
     """A config value as a float, or as an int if ``integer``; a bool is neither."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
@@ -162,10 +173,7 @@ _PROFILE_KEYS = {
 def _sine_profile(profile: dict, k: int):
     """Compile a profile spec into a function ns (m,) -> per-vector sines (m, k)."""
     field = "sequence.params.profile"
-    kind = profile.get("kind") if isinstance(profile, dict) else None
-    # report an unknown kind below, before any of its keys
-    keys = _PROFILE_KEYS.get(kind) if isinstance(kind, str) else None
-    _object(profile, field, keys or profile)
+    _object(profile, field, _kind(profile, field, _PROFILE_KEYS))
 
     def per_vector(value, name) -> np.ndarray:
         values = value if isinstance(value, list) else [value]
@@ -185,19 +193,14 @@ def _sine_profile(profile: dict, k: int):
         # n ** p in Python floats: numpy's array power can differ in the last ulp
         return lambda ns: np.minimum(1.0, a / np.array([n**p for n in ns.tolist()])[:, None])
 
-    if kind == "constant":
+    if profile["kind"] == "constant":
         g = per_vector(profile.get("value", 0.0), "value")
         return lambda ns: np.broadcast_to(g, (len(ns), k))
-    if kind == "power_decay":
+    if profile["kind"] == "power_decay":
         return decay("scale", "exponent")
-    if kind == "parity":
-        g = per_vector(profile.get("odd_value", 1.0), "odd_value")
-        even = decay("even_scale", "even_exponent")
-        return lambda ns: np.where((ns % 2 == 1)[:, None], g, even(ns))
-    raise ConfigError(
-        f"{field}.kind", f"unknown profile kind {kind!r}; "
-        "expected 'constant', 'power_decay' or 'parity'"
-    )
+    g = per_vector(profile.get("odd_value", 1.0), "odd_value")  # parity
+    even = decay("even_scale", "even_exponent")
+    return lambda ns: np.where((ns % 2 == 1)[:, None], g, even(ns))
 
 
 def rotating_family(
@@ -301,13 +304,8 @@ class ExperimentConfig:
                 )
             known = ("ambient_dim", "k", "profile", "seed")
             _object(self.sequence.get("params"), "sequence.params", known, known[:3])
-        kind = self.ideal.get("kind") if isinstance(self.ideal, dict) else None
-        ideal = IDEALS.get(kind) if isinstance(kind, str) else None
-        # report an unknown kind below, before any of its keys
-        known = ["kind", *(f.name for f in fields(ideal))] if ideal else self.ideal
-        _object(self.ideal, "ideal", known, ("kind",))
-        if ideal is None:
-            raise ConfigError("ideal.kind", f"unknown kind {kind!r}; choose from {list(IDEALS)}")
+        ideal = _kind(self.ideal, "ideal", IDEALS)
+        _object(self.ideal, "ideal", ["kind", *(f.name for f in fields(ideal))])
         if not isinstance(self.horizon, int) or self.horizon < 16:
             raise ConfigError("horizon", "must be an integer >= 16")
         if not isinstance(self.eps_grid, list):
@@ -609,13 +607,17 @@ def cmd_suite(args) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
+    try:  # decoded here, not by the locale; a leading BOM is dropped, as json does for configs
+        lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"basis file {path} is not UTF-8 text: {exc}") from None
     with warnings.catch_warnings():
         # an empty file is reported below, by name, instead of by numpy's warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            matrix = np.loadtxt(path, ndmin=2)
+            matrix = np.loadtxt(lines, ndmin=2)
         except ValueError:
-            matrix = np.loadtxt(path, ndmin=2, delimiter=",")
+            matrix = np.loadtxt(lines, ndmin=2, delimiter=",")
     if matrix.size == 0:
         raise ValueError(f"basis file {path} holds no vectors")
     if not np.all(np.isfinite(matrix)):

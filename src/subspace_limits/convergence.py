@@ -53,6 +53,7 @@ from .ideals import (
     SubsetOfBlocks,
     SubsetOfUnion,
     TailCertificate,
+    _integer,
     certificate_describe,
     decide_membership,
 )
@@ -141,7 +142,7 @@ def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[in
 
     Kept public under this name because ``bench/spans.py`` wraps it by name.
     """
-    return list(zip(range(1, horizon + 1), criterion_traces(seq, V, horizon).gap.tolist()))
+    return list(enumerate(criterion_traces(seq, V, horizon).gap.tolist(), start=1))
 
 
 def _levels(values: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
@@ -326,6 +327,7 @@ class CriterionTraces:
 
 def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> CriterionTraces:
     """Evaluate every criterion's raw values for n = 1..horizon in one pass."""
+    horizon = _integer(horizon, "horizon")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if V.ambient_dim != seq.ambient_dim or V.k != seq.k:
@@ -420,12 +422,17 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     certificate, and the last two are fixed for the call.
     """
     grid = _validate_eps_grid(eps_grid)
+    horizon = _integer(horizon, "horizon")
     if traces is None:
         traces = criterion_traces(seq, V, horizon)
-    elif traces.horizon != horizon or traces.k != seq.k:
+    # the labels alone would let arrays of another length or k be judged
+    shapes = [a.shape for a in (traces.gap, traces.residual, traces.coefficient_mass,
+                                traces.projection_norm)]
+    expected = [(horizon,)] + [(horizon, seq.k)] * 3
+    if (traces.horizon, traces.k, shapes) != (horizon, seq.k, expected):
         raise ValueError(
-            f"precomputed traces cover horizon {traces.horizon} with k={traces.k}; "
-            f"expected horizon {horizon} with k={seq.k}"
+            f"precomputed traces have horizon {traces.horizon}, k={traces.k} and column "
+            f"shapes {shapes}; expected horizon {horizon} with k={seq.k}"
         )
     # Each basis vector of U_n is a unit vector of U_n, so its residual is
     # at most the gap, and every criterion's exceptional set at eps is the

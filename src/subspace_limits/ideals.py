@@ -83,10 +83,7 @@ class IndexSet:
         else:  # entry by entry: a bool or a float among ints would pass as an int
             for x in np.array(self.members, dtype=object).flat:
                 _integer(x, "member")
-        m = np.array(self.members, dtype=np.int64).reshape(-1)
-        if np.any(m[1:] <= m[:-1]):  # thresholded traces arrive sorted already
-            m = np.sort(m)
-            m = m[np.append(True, m[1:] != m[:-1])]
+        m = np.unique(np.asarray(self.members, dtype=np.int64))
         if m.size and (m[0] < 1 or m[-1] > self.horizon):
             raise ValueError(
                 f"members must lie in [1, {self.horizon}], got range "
@@ -264,21 +261,9 @@ def _block_first_occurrences(P: IndexSet) -> list[int]:
 
 
 class Ideal(abc.ABC):
-    """An ideal on N: one frozen subclass per family, whose fields are its parameters."""
+    """An ideal on N: one frozen subclass ``Ideal.<kind>`` per family; fields are its parameters."""
 
     kind: ClassVar[str]
-
-    @staticmethod
-    def finite() -> "FiniteIdeal":
-        return FiniteIdeal()
-
-    @staticmethod
-    def density(tau: float = DEFAULT_TAU) -> "DensityIdeal":
-        return DensityIdeal(tau)
-
-    @staticmethod
-    def blocks() -> "BlockIdeal":
-        return BlockIdeal()
 
     def describe(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
@@ -398,6 +383,8 @@ class BlockIdeal(Ideal):
 
 
 IDEALS = {cls.kind: cls for cls in (FiniteIdeal, DensityIdeal, BlockIdeal)}
+for kind, cls in IDEALS.items():  # Ideal.density(0.2) is DensityIdeal(0.2)
+    setattr(Ideal, kind, cls)
 
 
 # --------------------------------------------------------------------------

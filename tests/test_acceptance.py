@@ -22,7 +22,6 @@ from subspace_limits import (
     criterion_traces,
     equivalence_suite,
     gap,
-    gap_bruteforce,
     gap_trace,
     n_norm,
     orthonormalize,
@@ -31,6 +30,7 @@ from subspace_limits import (
     subspace_i_converges,
 )
 from subspace_limits.cli import main
+from subspace_limits.oracle import gap_bruteforce
 from test_ideals import certified_family
 
 

@@ -104,6 +104,18 @@ def test_gap_empty_file_is_a_usage_error_naming_it(tmp_path, capsys, u_text, v_t
     assert err == f"error: basis file {tmp_path / named} holds no vectors\n"
 
 
+def test_gap_reads_utf8_and_names_a_file_that_is_not(tmp_path, capsys):
+    # a leading BOM is dropped, as for configs; it used to fail the float parse
+    u = tmp_path / "u.txt"
+    u.write_bytes(b"\xef\xbb\xbf1 0\n")
+    v = write(tmp_path / "v.txt", "0 1\n")
+    assert main(["gap", str(u), v]) == 0
+    assert float(capsys.readouterr().out) == 1.0
+    u.write_bytes(b"1 0 # \xe9\n")
+    assert main(["gap", str(u), v]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: basis file {u} is not UTF-8 text: ")
+
+
 @pytest.mark.parametrize("u_text, v_text, named", [
     ("nan 0\n", "1 0\n", "u.txt"),
     ("1 0\n", "0 inf\n", "v.txt"),
@@ -585,10 +597,11 @@ def test_cli_runs_never_import_numpy_random(tmp_path):
         "from subspace_limits import cli\n"
         "codes = [cli.main(['analyze', '--config', 'rotating.json', '--out-dir', 'rot']),\n"
         "         cli.main(['suite', 'parity-split', '--horizon', '2000', '--out-dir', 'par'])]\n"
-        "print(codes, 'numpy.random' in sys.modules)\n"
+        "print(codes, 'numpy.random' in sys.modules, 'subspace_limits.oracle' in sys.modules)\n"
     )
     out = run_fresh(code, cwd=tmp_path)
-    assert out.splitlines()[-1] == "[0, 0] False"
+    # nor the oracle, a cross-check for tests that production runs never need
+    assert out.splitlines()[-1] == "[0, 0] False False"
 
 
 def test_cli_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
@@ -597,16 +610,19 @@ def test_cli_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
         ["example", "parity-split", "--emit-config", "emitted.json"],
         ["analyze", "--config", "emitted.json", "--out-dir", "analyze"],
         ["suite", "parity-split", "--horizon", "2000", "--out-dir", "suite"],
+        ["gap", "../u.txt", "../v.txt"],
     ]
+    write(tmp_path / "u.txt", "1 0\n")
+    write(tmp_path / "v.txt", "0.6 0.8\n")
     code = f"from subspace_limits import cli\nprint([cli.main(a) for a in {argvs!r}])\n"
     strict = tmp_path / "strict"
     strict.mkdir()
     out = run_fresh(code, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", cwd=strict)
-    assert out.splitlines()[-1] == "[0, 0, 0]"
+    assert out.splitlines()[-2:] == ["0.8", "[0, 0, 0, 0]"]
     plain = tmp_path / "plain"
     plain.mkdir()
     monkeypatch.chdir(plain)
-    assert [main(a) for a in argvs] == [0, 0, 0]
+    assert [main(a) for a in argvs] == [0, 0, 0, 0]
     files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
     assert len(files) == 5
     for name in files:

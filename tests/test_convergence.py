@@ -1,6 +1,7 @@
 """Tests for the convergence engine and the built-in sequences."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -25,10 +26,8 @@ from subspace_limits import (
     Verdict,
     constant_orthogonal_example,
     criterion_traces,
-    det_bruteforce,
     equivalence_suite,
     gap,
-    gap_bruteforce,
     gap_trace,
     n_norm,
     orthonormalize,
@@ -37,7 +36,8 @@ from subspace_limits import (
     subspace_i_converges,
 )
 from subspace_limits import convergence
-from subspace_limits.cli import rotating_family
+from subspace_limits.cli import report_to_dict, rotating_family, write_report
+from subspace_limits.oracle import det_bruteforce, gap_bruteforce
 
 HORIZON = 1000
 CHECKERS = [subspace_i_converges, equivalence_suite, self_projection_volume_check]
@@ -256,6 +256,23 @@ def test_exceptional_set_rejects_empty_values():
     for checker in CHECKERS:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             checker(seq, V, Ideal.finite(), horizon=0)
+
+
+def test_horizon_must_be_an_integer(tmp_path):
+    # True and 20.0 used to reach numpy as a bare TypeError, and an np.int64
+    # horizon was stored in the report, which then failed to write as JSON
+    seq, V = constant_orthogonal_example()
+    for horizon in (True, 20.0, "20"):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            criterion_traces(seq, V, horizon)
+        for checker in CHECKERS:
+            with pytest.raises(ValueError, match="horizon must be an integer"):
+                checker(seq, V, Ideal.finite(), horizon=horizon)
+    assert criterion_traces(seq, V, np.int64(20)).horizon == 20
+    report = subspace_i_converges(seq, V, Ideal.finite(), horizon=np.int64(20))
+    assert type(report.horizon) is int
+    write_report(tmp_path / "report.json", report_to_dict(report, "analyze"))
+    assert json.loads((tmp_path / "report.json").read_bytes())["horizon"] == 20
 
 
 def test_exceptional_set_requires_positive_epsilon():
@@ -871,6 +888,9 @@ def test_checkers_reject_traces_of_another_horizon(checker):
     traces = criterion_traces(seq, V, 50)
     with pytest.raises(ValueError, match="horizon 50"):
         checker(seq, V, Ideal.finite(), horizon=1000, traces=traces)
+    # relabelled traces: 50 rows of k=1 used to be judged as 10 rows of 5 vectors
+    with pytest.raises(ValueError, match=r"shapes \[\(50,\), \(50, 1\)"):
+        checker(seq, V, Ideal.finite(), horizon=10, traces=dataclasses.replace(traces, horizon=10))
     plane = make_member("plane", 4, 2, 3, lambda n: np.array([0.1, 0.1]), None, {})
     with pytest.raises(ValueError, match="k=1"):
         checker(seq, V, Ideal.finite(), horizon=50, traces=criterion_traces(

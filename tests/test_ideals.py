@@ -568,6 +568,12 @@ def certified_family(horizon):
     ]
 
 
+def test_each_kind_is_its_class_on_ideal():
+    # the lookup the benchmark makes: getattr(Ideal, kind)() builds that kind's ideal
+    for kind, cls in IDEALS.items():
+        assert getattr(Ideal, kind) is cls
+
+
 def test_axioms_pass_for_all_kinds():
     horizon = 1000
     for kind, cls in IDEALS.items():

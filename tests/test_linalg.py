@@ -12,12 +12,12 @@ from subspace_limits import (
     DimensionMismatchError,
     RankDeficiencyError,
     Subspace,
-    det_bruteforce,
     gap,
     n_norm,
     orthonormalize,
 )
 from subspace_limits.linalg import TOL_ORTHO, cross_residual, first_non_orthonormal, residual_gap
+from subspace_limits.oracle import det_bruteforce
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
