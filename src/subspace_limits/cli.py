@@ -190,8 +190,14 @@ def _sine_profile(profile: dict, k: int):
         p = _number(profile.get(exponent, 1.0), f"{field}.{exponent}")
         if not p > 0:
             raise ConfigError(f"{field}.{exponent}", "must be positive")
-        # n ** p in Python floats: numpy's array power can differ in the last ulp
-        return lambda ns: np.minimum(1.0, a / np.array([n**p for n in ns.tolist()])[:, None])
+
+        def power(n):  # n ** p in Python floats: numpy's array power can differ in the last ulp
+            try:
+                return n**p
+            except OverflowError:  # past the largest double: a / inf is a sine of 0
+                return np.inf
+
+        return lambda ns: np.minimum(1.0, a / np.array([power(n) for n in ns.tolist()])[:, None])
 
     if profile["kind"] == "constant":
         g = per_vector(profile.get("value", 0.0), "value")
@@ -243,13 +249,9 @@ def rotating_family(
         )
     if seed < 0:
         raise ConfigError("sequence.params.seed", "must be >= 0")
-    limit_rows = np.empty((0, ambient_dim))
-    if limit_basis is not None:
-        limit_rows = np.asarray(limit_basis, dtype=float)
-        if limit_rows.shape != (k, ambient_dim):
-            raise ConfigError(
-                "limit_basis", f"expected {k} rows of length {ambient_dim}"
-            )
+    limit_rows = np.empty((0, ambient_dim)) if limit_basis is None else limit_basis
+    if limit_basis is not None and np.shape(limit_rows) != (k, ambient_dim):
+        raise ConfigError("limit_basis", f"expected {k} rows of length {ambient_dim}")
     rng = random.Random(operator.index(seed))
     rows = 2 * k - len(limit_rows)
     uniforms = np.array([rng.random() for _ in range(rows * ambient_dim)])
@@ -288,14 +290,10 @@ class ExperimentConfig:
         """Check the document's shape; build_experiment checks the values it builds."""
         if not isinstance(self.sequence, dict):
             raise ConfigError("sequence", "must be an object")
-        keys = {"builtin", "family"} & set(self.sequence)
-        if len(keys) != 1:
+        if len({"builtin", "family"} & set(self.sequence)) != 1:
             raise ConfigError("sequence", "needs exactly one of 'builtin' or 'family'")
         if "builtin" in self.sequence:
             _object(self.sequence, "sequence", ("builtin", "variant"))
-            name = self.sequence["builtin"]
-            if self.sequence.get("variant") is not None and not _builtin(name)["variants"]:
-                raise ConfigError("sequence.variant", f"{name!r} takes no variant")
         else:
             _object(self.sequence, "sequence", ("family", "params"))
             if self.sequence["family"] != "rotating":
@@ -308,8 +306,6 @@ class ExperimentConfig:
         _object(self.ideal, "ideal", ["kind", *(f.name for f in fields(ideal))])
         if not isinstance(self.horizon, int) or self.horizon < 16:
             raise ConfigError("horizon", "must be an integer >= 16")
-        if not isinstance(self.eps_grid, list):
-            raise ConfigError("eps_grid", "must be a list of numbers")
         with _config_field("eps_grid"):
             _validate_eps_grid(self.eps_grid)
         if not isinstance(self.out_dir, str) or not self.out_dir:
@@ -351,39 +347,39 @@ def _config_field(field: str):
         raise ConfigError(field, str(exc)) from None
 
 
+def _limit_rows(value) -> np.ndarray:
+    """``limit_basis`` as a matrix: equal-length lists of finite config numbers."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and len({len(row) for row in value}) == 1):
+        raise ConfigError("limit_basis", "must be a list of equal-length basis rows")
+    rows = np.array([[_number(x, "limit_basis") for x in row] for row in value])
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError("limit_basis", "vector has non-finite coordinates")
+    return rows
+
+
 def build_experiment(cfg: ExperimentConfig):
     """Materialize (sequence, candidate limit, ideal) from a validated config."""
     params = {key: value for key, value in cfg.ideal.items() if key != "kind"}
     # an ideal has at most one field, so a rejected value is the one named here
     with _config_field(".".join(["ideal", *params])):
         ideal = IDEALS[cfg.ideal["kind"]](**params)
-    limit_rows = limit = None
-    if cfg.limit_basis is not None:
-        try:
-            limit_rows = np.asarray(cfg.limit_basis, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("limit_basis", "must be a numeric matrix (rows)") from None
-        if limit_rows.ndim != 2:
-            raise ConfigError("limit_basis", "must be a list of basis rows")
-        if not np.all(np.isfinite(limit_rows)):
-            raise ConfigError("limit_basis", "vector has non-finite coordinates")
-        if "builtin" in cfg.sequence:  # the rotating family orthonormalizes them in its frame
-            with _config_field("limit_basis"):
-                limit = orthonormalize(limit_rows)
-
     if "builtin" in cfg.sequence:
-        builder = _builtin(cfg.sequence["builtin"])["builder"]
-        variant = cfg.sequence.get("variant")
+        name, variant = cfg.sequence["builtin"], cfg.sequence.get("variant")
+        entry = _builtin(name)
+        if variant is not None and not entry["variants"]:
+            raise ConfigError("sequence.variant", f"{name!r} takes no variant")
         with _config_field("sequence.variant"):
-            seq, V = (builder() if variant is None else builder(variant))[:2]
-        if limit is not None:
-            V = limit
-            if V.ambient_dim != seq.ambient_dim or V.k != seq.k:
-                raise ConfigError(
-                    "limit_basis",
-                    f"expected {seq.k} rows of length {seq.ambient_dim}",
-                )
-    else:
+            seq, V = (entry["builder"]() if variant is None else entry["builder"](variant))[:2]
+        if cfg.limit_basis is not None:
+            limit_rows = _limit_rows(cfg.limit_basis)
+            if limit_rows.shape != (seq.k, seq.ambient_dim):
+                expected = f"expected {seq.k} rows of length {seq.ambient_dim}"
+                raise ConfigError("limit_basis", expected)
+            with _config_field("limit_basis"):
+                V = orthonormalize(limit_rows)
+    else:  # the rotating family orthonormalizes the limit rows in its frame
+        limit_rows = None if cfg.limit_basis is None else _limit_rows(cfg.limit_basis)
         params = cfg.sequence["params"]
         d = _number(params["ambient_dim"], "sequence.params.ambient_dim", integer=True)
         k = _number(params["k"], "sequence.params.k", integer=True)
@@ -519,10 +515,9 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 def _parse_eps(text: str) -> list[float]:
     try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError("eps_grid", f"could not parse {text!r}") from None
-    return grid
 
 
 # the experiment flags and the config fields they set; a config file sets them all

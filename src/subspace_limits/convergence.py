@@ -233,7 +233,10 @@ def _conjoin(verdicts: Sequence[Verdict]) -> Verdict:
 
 def _validate_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
     # float() would read the grid "21" as (2.0, 1.0), "0.5" as 0.5 and True as 1.0
-    entries = () if isinstance(eps_grid, (str, bytes)) else tuple(eps_grid)
+    try:
+        entries = () if isinstance(eps_grid, (str, bytes)) else tuple(eps_grid)
+    except TypeError:  # not iterable: 0.5 or None
+        entries = ()
     if not entries or any(isinstance(e, bool) or not isinstance(e, numbers.Real) for e in entries):
         raise ValueError(f"eps grid must be a non-empty sequence of real numbers, got {eps_grid!r}")
     grid = tuple(float(e) for e in entries)

@@ -365,6 +365,9 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         # a bool is not a number: these used to run as eps = 1, k = 1, d = 4 and seed = 2
         ({"eps_grid": [True, 0.5]}, None, "eps_grid"),
         ({"eps_grid": ["0.5"]}, None, "eps_grid"),
+        # a grid that is not a list used to need a check of its own before the library's
+        ({"eps_grid": 0.5}, None, "eps_grid"),
+        ({"eps_grid": None}, None, "eps_grid"),
         (rotating(k=True), None, "sequence.params.k"),
         (rotating(ambient_dim="4"), None, "sequence.params.ambient_dim"),
         (rotating(seed=2.9), None, "sequence.params.seed"),
@@ -377,6 +380,12 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         (rotating(k=-1), None, "sequence.params.k"),
         ({"limit_basis": [[0.0, math.inf, 0.0]]}, None, "limit_basis"),
         ({"limit_basis": [[0.0, 0.0, 0.0]]}, None, "limit_basis"),
+        # entries are JSON numbers: these used to run against span{e2} and exit 0
+        ({"limit_basis": [[False, True, False]]}, None, "limit_basis"),
+        ({"limit_basis": [["0", "1", "0"]]}, None, "limit_basis"),
+        ({"limit_basis": [[0.0, True, 0.0]]}, None, "limit_basis"),
+        ({"limit_basis": [[0.0, 1.0, 0.0], [1.0, 0.0]]}, None, "limit_basis"),
+        ({"limit_basis": [0.0, 1.0, 0.0]}, None, "limit_basis"),
         ({**rotating(), "limit_basis": [[math.nan, 0.0, 0.0, 0.0]]}, None, "limit_basis"),
         (
             {**rotating(k=2), "limit_basis": [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]},
@@ -422,6 +431,8 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "eps-inf",
         "eps-bool",
         "eps-string",
+        "eps-not-a-list",
+        "eps-null",
         "params-k-bool",
         "params-ambient-dim-string",
         "params-seed-float",
@@ -431,6 +442,11 @@ def test_config_rejects_experiment_flags(tmp_path, capsys, flag, value, field):
         "params-k-negative",
         "limit-basis-inf-builtin",
         "limit-basis-dependent-builtin",
+        "limit-basis-bools",
+        "limit-basis-strings",
+        "limit-basis-bool-among-floats",
+        "limit-basis-ragged",
+        "limit-basis-row-not-a-list",
         "limit-basis-nan-rotating",
         "limit-basis-dependent-rotating",
         "tau-with-blocks",
@@ -442,6 +458,7 @@ def test_bad_values_name_their_field(tmp_path, capsys, change, flags, field):
     with pytest.raises(ConfigError) as excinfo:
         build_experiment(load_config(path))
     assert excinfo.value.field == field
+    assert str(excinfo.value).count(f"'{field}'") == 1  # a ConfigError is wrapped once
     for args in [["--config", path]] + ([flags] if flags else []):
         assert main(["analyze", *args, "--out-dir", str(tmp_path / "o")]) == EXIT_USAGE
         assert f"config field '{field}'" in capsys.readouterr().err
@@ -653,6 +670,19 @@ def test_suite_runs_are_byte_identical(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_stable_outputs_script_reproduces_every_file(tmp_path):
+    # every file of 17 CLI runs, plus their printed lines and exit codes, in fresh processes
+    script = str(Path(__file__).resolve().parents[1] / "tools" / "stable_outputs.py")
+    trees = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        argv = ["stable_outputs.py", str(root)]
+        run_fresh(f"import runpy, sys\nsys.argv = {argv!r}\n"
+                  f"runpy.run_path({script!r}, run_name='__main__')\n")
+        trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 34  # 15 reports, 15 traces, 2 emitted configs, the input, runs.txt
+    assert trees[0] == trees[1]
 
 
 def test_report_round_trip(tmp_path):
@@ -1108,6 +1138,23 @@ def test_rotating_family_limit_override():
     np.testing.assert_allclose(V.basis, limit, atol=1e-12)
     U5 = seq.rule(5)
     assert U5.k == 1 and U5.ambient_dim == 4
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"kind": "power_decay", "scale": 0.5, "exponent": 400},
+        {"kind": "parity", "odd_value": 0.0, "even_scale": 0.5, "even_exponent": 400},
+    ],
+    ids=["power-decay", "parity"],
+)
+def test_profile_power_past_the_largest_double_reads_sine_zero(tmp_path, profile):
+    # 6 ** 400 overflows a double; Python's OverflowError used to fail the run (exit 4)
+    doc = {**PARITY_CONFIG, **rotating(profile=profile), "horizon": 100}
+    path = write(tmp_path / "c.json", json.dumps(doc))
+    assert main(["analyze", "--config", path, "--out-dir", str(tmp_path / "o")]) == EXIT_CONVERGES
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["evidence"]["gap_final"] == 0.0
 
 
 def test_rotating_family_needs_room_for_companions():

@@ -490,6 +490,7 @@ def test_columns_that_differ_at_one_index_share_no_verdicts(index, mass_deviatio
 @pytest.mark.parametrize("checker", CHECKERS)
 @pytest.mark.parametrize("grid", [
     "21", "5", b"0.5", [True], [0.5, False], [np.bool_(True)], ["0.5"], [0.5, None], [1j], [],
+    0.5, None,  # not iterable: these used to be a bare TypeError
 ], ids=repr)
 def test_checkers_take_only_real_eps_grids(checker, grid):
     # float() would run "21" as the grid (2.0, 1.0), [True] as (1.0,) and ["0.5"] as (0.5,)

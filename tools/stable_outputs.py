@@ -1,0 +1,86 @@
+"""Write every file the CLI keeps byte stable, so two source trees can be compared.
+
+    PYTHONPATH=src python tools/stable_outputs.py OUT_DIR
+
+The runs use the ``subspace_limits`` on the import path, in this process:
+
+* ``analyze`` and ``suite`` on parity-split, both variants under the finite,
+  density and blocks ideals;
+* ``analyze`` and ``suite`` on orthogonal-constant;
+* ``analyze`` on a rotating config (d=40, k=8, power_decay 0.45/n^2, density
+  tau 0.01, horizon 2000, seed 0) with no ``out_dir`` key and ``--out-dir`` given;
+* ``example NAME --emit-config`` for both built-ins.
+
+OUT_DIR must not exist. Each run writes into its own directory under it, and
+``runs.txt`` records every run's arguments, exit code and standard output.
+Paths are relative to OUT_DIR, so the trees of two source checkouts differ
+only where their outputs do:
+
+    PYTHONPATH=../parent/src python tools/stable_outputs.py /tmp/parent
+    PYTHONPATH=src python tools/stable_outputs.py /tmp/change
+    diff -r /tmp/parent /tmp/change
+
+Exits 1 if any run fails with an error (exit code above 2), else 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from subspace_limits.cli import BUILTIN_SEQUENCES, EXIT_INCONCLUSIVE, main
+
+ROTATING = {
+    "sequence": {
+        "family": "rotating",
+        "params": {
+            "ambient_dim": 40,
+            "k": 8,
+            "seed": 0,
+            "profile": {"kind": "power_decay", "scale": 0.45, "exponent": 2.0},
+        },
+    },
+    "ideal": {"kind": "density", "tau": 0.01},
+    "horizon": 2000,
+    "eps_grid": [0.5, 0.1, 0.01],
+}
+
+
+def runs() -> list[list[str]]:
+    argvs = []
+    for command in ("analyze", "suite"):
+        for variant in ("amended", "printed"):
+            for ideal in ("finite", "density", "blocks"):
+                out = f"{command}-parity-split-{variant}-{ideal}"
+                argvs.append([command, "parity-split", "--variant", variant,
+                              "--ideal", ideal, "--out-dir", out])
+        argvs.append([command, "orthogonal-constant", "--out-dir", f"{command}-orthogonal-constant"])
+    argvs.append(["analyze", "--config", "rotating.json", "--out-dir", "analyze-rotating"])
+    for name in sorted(BUILTIN_SEQUENCES):
+        argvs.append(["example", name, "--emit-config", f"example-{name}.json"])
+    return argvs
+
+
+def write_outputs(out_dir: Path) -> int:
+    out_dir.mkdir(parents=True)
+    os.chdir(out_dir)
+    config = json.dumps(ROTATING, indent=2, sort_keys=True) + "\n"
+    Path("rotating.json").write_bytes(config.encode())
+    log, failed = [], 0
+    for argv in runs():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        failed += code > EXIT_INCONCLUSIVE
+        log.append(f"$ subspace-limits {' '.join(argv)}\nexit {code}\n{out.getvalue()}")
+    Path("runs.txt").write_bytes("\n".join(log).encode())
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT_DIR")
+    sys.exit(write_outputs(Path(sys.argv[1]).resolve()))
