@@ -8,7 +8,7 @@ whatever the ideal.
 """
 
 from subspace_limits import Ideal, criterion_traces, equivalence_suite
-from subspace_limits.cli import rotating_family
+from subspace_limits.sequences import rotating_family
 
 HORIZON = 1000
 

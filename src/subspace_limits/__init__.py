@@ -1,12 +1,15 @@
 """Gap metric between subspaces of R^d and ideal-based convergence analysis.
 
-The library splits into three layers:
+The library splits into four layers:
 
 * :mod:`subspace_limits.linalg` -- orthonormal bases, the batched
   residual kernels, the gap metric and joint norms;
 * :mod:`subspace_limits.ideals` -- ideals on N, one class per family
   (finite, zero-density, dyadic-block), with certificate-backed
   membership verdicts;
+* :mod:`subspace_limits.sequences` -- the subspace sequence type, which
+  evaluates its own chunks of indices into checked bases, and every
+  built-in sequence;
 * :mod:`subspace_limits.convergence` -- the engine deciding whether a
   sequence of subspaces converges to a candidate limit under an ideal,
   with five equivalent criteria evaluated side by side.
@@ -24,16 +27,12 @@ from .convergence import (
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
-    RuleEvaluationError,
     ScalarLimitReport,
-    SubspaceSequence,
     Verdict,
     VolumeCheckReport,
-    constant_orthogonal_example,
     criterion_traces,
     equivalence_suite,
     gap_trace,
-    parity_split_example,
     self_projection_volume_check,
     subspace_i_converges,
 )
@@ -61,6 +60,12 @@ from .linalg import (
     gap,
     n_norm,
     orthonormalize,
+)
+from .sequences import (
+    RuleEvaluationError,
+    SubspaceSequence,
+    constant_orthogonal_example,
+    parity_split_example,
 )
 
 __version__ = "0.1.0"

@@ -24,9 +24,6 @@ import argparse
 import contextlib
 import functools
 import json
-import numbers
-import operator
-import random
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -38,25 +35,30 @@ import numpy as np
 from . import _g17, linalg
 from .convergence import (
     DEFAULT_EPS_GRID,
-    PARITY_VARIANTS,
     ConvergenceReport,
     CriterionReport,
     CriterionTraces,
-    RuleEvaluationError,
     ScalarLimitReport,
-    SubspaceSequence,
     Verdict,
     VolumeCheckReport,
     _validate_eps_grid,
-    constant_orthogonal_example,
     criterion_traces,
     equivalence_suite,
-    parity_split_example,
     self_projection_volume_check,
     subspace_i_converges,
 )
 from .ideals import IDEALS
-from .linalg import RankDeficiencyError, Subspace, orthonormalize
+from .linalg import RankDeficiencyError, orthonormalize
+from .sequences import (
+    BUILTIN_SEQUENCES,
+    ConfigError,
+    RuleEvaluationError,
+    _builtin,
+    _kind,
+    _number,
+    _object,
+    rotating_family,
+)
 
 EXIT_CONVERGES = 0
 EXIT_DOES_NOT_CONVERGE = 1
@@ -68,86 +70,8 @@ TRACE_HEADER = "n,gap,crit2_max_i,crit3_min_i,crit4_min_i,crit5_max_i"
 REPORT_SCHEMA = "subspace-limits/report-v1"
 
 
-class ConfigError(ValueError):
-    """A config document failed validation; names the offending field."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"config field '{field}': {message}")
-
-
-def _object(value, field: str, known, required=()) -> None:
-    """Check a config object: a dict with only ``known`` keys and every ``required`` one."""
-    if not isinstance(value, dict):
-        raise ConfigError(field, "must be an object")
-    prefix = f"{field}." if field else ""
-    unknown = sorted(set(value) - set(known))
-    if unknown:
-        raise ConfigError(prefix + unknown[0], "is not a recognized key")
-    for key in required:
-        if key not in value:
-            raise ConfigError(prefix + key, "is required")
-
-
-def _kind(value, field: str, kinds: dict):
-    """The ``kinds`` entry a config object's "kind" names, checked before its other keys."""
-    if not isinstance(value, dict):
-        raise ConfigError(field, "must be an object")
-    kind = value.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        got = f", got {kind!r}" if "kind" in value else ""
-        raise ConfigError(f"{field}.kind", f"must be one of {list(kinds)}{got}")
-    return kinds[kind]
-
-
-def _number(value, field: str, integer: bool = False):
-    """A config value as a float, or as an int if ``integer``; a bool is neither."""
-    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(field, f"expected {what}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 # --------------------------------------------------------------------------
-# Built-in sequences and parametric families
-
-# One row per built-in: its builder, the variants the builder takes (the first
-# is the default), the default ideal kind and horizon, and a summary.
-BUILTIN_SEQUENCES = {
-    "parity-split": {
-        "builder": parity_split_example,
-        "variants": PARITY_VARIANTS,
-        "ideal": "blocks",
-        "horizon": 10000,
-        "summary": (
-            "line in R^3: orthogonal to the limit on odd n, tilted toward it "
-            "on even n; converges under the block ideal (amended variant) but "
-            "not statistically and not in the usual sense"
-        ),
-    },
-    "orthogonal-constant": {
-        "builder": constant_orthogonal_example,
-        "variants": (),
-        "ideal": "density",
-        "horizon": 1000,
-        "summary": (
-            "constant line span{e1} in R^2 against V = span{e2}: gap is "
-            "identically 1, the self-projection volumes are identically 0; "
-            "witnesses the one-way direction of the volume check"
-        ),
-    },
-}
-
-
-def _builtin(name) -> dict:
-    """The BUILTIN_SEQUENCES entry for a name, or a ConfigError."""
-    entry = BUILTIN_SEQUENCES.get(name) if isinstance(name, str) else None
-    if entry is None:
-        raise ConfigError(
-            "sequence.builtin",
-            f"unknown name {name!r}; choose from {sorted(BUILTIN_SEQUENCES)}",
-        )
-    return entry
+# Experiment configuration
 
 
 def _builtin_config(name) -> dict:
@@ -161,120 +85,6 @@ def _builtin_config(name) -> dict:
         "eps_grid": list(DEFAULT_EPS_GRID),
         "out_dir": "out",
     }
-
-
-_PROFILE_KEYS = {
-    "constant": ("kind", "value"),
-    "power_decay": ("kind", "scale", "exponent"),
-    "parity": ("kind", "odd_value", "even_scale", "even_exponent"),
-}
-
-
-def _sine_profile(profile: dict, k: int):
-    """Compile a profile spec into a function ns (m,) -> per-vector sines (m, k)."""
-    field = "sequence.params.profile"
-    _object(profile, field, _kind(profile, field, _PROFILE_KEYS))
-
-    def per_vector(value, name) -> np.ndarray:
-        values = value if isinstance(value, list) else [value]
-        arr = np.array([_number(v, f"{field}.{name}") for v in values])
-        arr = np.repeat(arr, k) if arr.size == 1 else arr
-        if arr.size != k:
-            raise ConfigError(f"{field}.{name}", f"expected a scalar or {k} values")
-        if not np.all((arr >= 0) & (arr <= 1)):
-            raise ConfigError(f"{field}.{name}", "sine magnitudes must lie in [0, 1]")
-        return arr
-
-    def decay(scale, exponent):
-        a = per_vector(profile.get(scale, 1.0), scale)
-        p = _number(profile.get(exponent, 1.0), f"{field}.{exponent}")
-        if not p > 0:
-            raise ConfigError(f"{field}.{exponent}", "must be positive")
-
-        def power(n):  # n ** p in Python floats: numpy's array power can differ in the last ulp
-            try:
-                return n**p
-            except OverflowError:  # past the largest double: a / inf is a sine of 0
-                return np.inf
-
-        return lambda ns: np.minimum(1.0, a / np.array([power(n) for n in ns.tolist()])[:, None])
-
-    if profile["kind"] == "constant":
-        g = per_vector(profile.get("value", 0.0), "value")
-        return lambda ns: np.broadcast_to(g, (len(ns), k))
-    if profile["kind"] == "power_decay":
-        return decay("scale", "exponent")
-    g = per_vector(profile.get("odd_value", 1.0), "odd_value")  # parity
-    even = decay("even_scale", "even_exponent")
-    return lambda ns: np.where((ns % 2 == 1)[:, None], g, even(ns))
-
-
-def rotating_family(
-    ambient_dim: int,
-    k: int,
-    profile: dict,
-    seed: int = 0,
-    limit_basis: Optional[np.ndarray] = None,
-):
-    """Sequences rotating each limit direction toward a fixed companion.
-
-    A deterministic orthonormal frame is drawn from ``seed``: its first k
-    rows span the candidate limit unless ``limit_basis`` overrides them, and
-    the next k are the companion directions. Only these 2k rows are drawn and
-    orthonormalized. Their entries are ``2u - 1``, uniform in [-1, 1), with
-    u read row by row from the standard library's ``random.Random(seed)``,
-    whose stream Python keeps across versions: a seed names the same frame
-    under any NumPy version, though not the one it named when NumPy's normal
-    generator drew the frame. The rows equal the first 2k rows of a full
-    d-row frame, as Gram-Schmidt row i depends only on the rows before it and
-    the stream's prefix does not depend on how many rows are drawn. ``seed``
-    is an integer (``operator.index``); a float seed is a TypeError.
-    Basis vector i of U_n is cos(theta) v_i + sin(theta) w_i where w_i is
-    the i-th companion direction and sin(theta) = profile(n)[i], so the
-    gap to the limit is exactly max_i profile(n)[i]. Profiles:
-
-    * ``{"kind": "constant", "value": g}``
-    * ``{"kind": "power_decay", "scale": a, "exponent": p}``  (a / n^p)
-    * ``{"kind": "parity", "odd_value": g, "even_scale": a,
-      "even_exponent": p}``
-
-    Values are real numbers (not bools), or lists of k for ``value``, ``scale``,
-    ``odd_value`` and ``even_scale``; anything else is a ConfigError.
-    """
-    if k < 1:
-        raise ConfigError("sequence.params.k", "must be >= 1")
-    if ambient_dim < 2 * k:
-        raise ConfigError(
-            "sequence.params.ambient_dim", f"rotating family needs ambient_dim >= 2k = {2 * k}"
-        )
-    if seed < 0:
-        raise ConfigError("sequence.params.seed", "must be >= 0")
-    limit_rows = np.empty((0, ambient_dim)) if limit_basis is None else limit_basis
-    if limit_basis is not None and np.shape(limit_rows) != (k, ambient_dim):
-        raise ConfigError("limit_basis", f"expected {k} rows of length {ambient_dim}")
-    rng = random.Random(operator.index(seed))
-    rows = 2 * k - len(limit_rows)
-    uniforms = np.array([rng.random() for _ in range(rows * ambient_dim)])
-    randoms = (2.0 * uniforms - 1.0).reshape(rows, ambient_dim)  # exact: [-1, 1) on a 2^-52 grid
-    frame = orthonormalize(np.vstack([limit_rows, randoms])).basis
-    V = Subspace(frame[:k])
-    companions = frame[k:]
-    sines = _sine_profile(profile, k)
-
-    def batch_rule(ns: np.ndarray) -> np.ndarray:
-        s = sines(ns)[..., None]
-        return np.sqrt(1.0 - s * s) * V.basis + s * companions
-
-    seq = SubspaceSequence(
-        batch_rule=batch_rule,
-        description=f"rotating family (k={k}, d={ambient_dim}, seed={seed}, "
-        f"profile={profile.get('kind')})",
-    )
-    return seq, V
-
-
-# --------------------------------------------------------------------------
-# Experiment configuration
 
 
 @dataclass

@@ -37,27 +37,24 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .ideals import (
     CertificateError,
-    EmptyTail,
     Ideal,
     IdealVerdict,
     IndexSet,
     Status,
-    SubsetOfBlocks,
-    SubsetOfUnion,
     TailCertificate,
     _integer,
     certificate_describe,
     decide_membership,
 )
 from .linalg import Subspace
+from .sequences import SubspaceSequence, parity_split_example  # the latter for bench/workloads.py
 
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
 DEFAULT_HORIZON = 1000
@@ -74,67 +71,6 @@ class Verdict(enum.Enum):
     CONVERGES = "converges"
     DOES_NOT_CONVERGE = "does_not_converge"
     INCONCLUSIVE = "inconclusive"
-
-
-class RuleEvaluationError(RuntimeError):
-    """A sequence rule failed or returned a malformed subspace."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(f"sequence rule failed at index {index}: {message}")
-
-
-@dataclass(frozen=True)
-class SubspaceSequence:
-    """A deterministic rule n -> Subspace with fixed per-n bases.
-
-    Give ``rule`` or ``batch_rule``, not both. ``batch_rule`` maps ns (m,) to bases
-    (m, k, d), checked per trace chunk as ``Subspace`` checks one; ``rule`` derives from it.
-    ``k`` and ``ambient_dim`` are read off ``rule(1)``; every index must match them.
-    ``exceptional_certificate`` optionally maps eps to a tail certificate
-    for the set {n : gap(U_n, V) >= eps} against the sequence's intended
-    limit, or to None where it has none; it is what makes exact
-    convergence verdicts possible. It is read once per eps of a grid.
-    """
-
-    rule: Optional[Callable[[int], Subspace]] = None
-    exceptional_certificate: Optional[Callable[[float], TailCertificate]] = None
-    description: str = ""
-    batch_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    k: int = field(init=False)
-    ambient_dim: int = field(init=False)
-
-    def __post_init__(self):
-        derived = isinstance(self.rule, partial) and self.rule.func is _batch_rule_at
-        if (self.rule is not None and not derived) == (self.batch_rule is not None):
-            raise ValueError("a sequence takes exactly one of rule and batch_rule")
-        if self.batch_rule is not None:  # derived anew: replace() copies the old derived rule
-            object.__setattr__(self, "rule", partial(_batch_rule_at, self.batch_rule))
-        probe = _call_rule(self.rule, 1)
-        if not isinstance(probe, Subspace):
-            raise ValueError(f"rule(1) returned {probe!r}, expected a Subspace")
-        object.__setattr__(self, "k", probe.k)
-        object.__setattr__(self, "ambient_dim", probe.ambient_dim)
-
-
-def _batch_rule_at(batch_rule, n: int) -> Subspace:
-    return Subspace(batch_rule(np.array([n]))[0])
-
-
-def _call_rule(rule, arg, index=None):
-    try:
-        return rule(arg)
-    except RuleEvaluationError:
-        raise
-    except Exception as exc:
-        raise RuleEvaluationError(arg if index is None else index, str(exc)) from exc
-
-
-def _checked_basis(seq: SubspaceSequence, n: int) -> np.ndarray:
-    U = _call_rule(seq.rule, n)
-    if isinstance(U, Subspace) and U.basis.shape == (seq.k, seq.ambient_dim):
-        return U.basis
-    raise RuleEvaluationError(n, f"rule returned {U!r}, expected k={seq.k}, d={seq.ambient_dim}")
 
 
 def gap_trace(seq: SubspaceSequence, V: Subspace, horizon: int) -> list[tuple[int, float]]:
@@ -307,7 +243,8 @@ class CriterionTraces:
     two-dimensional arrays follow the basis vectors of U_n. The two volumes
     are derived from the residual: for an orthonormal basis of V the Gram
     determinants factorise, so ||u_i, v_1, ..., v_k|| = ||u_i - P_V(u_i)||
-    and ||u_i, P_V(u_i)|| = ||P_V(u_i)|| ||u_i - P_V(u_i)||.
+    and ||u_i, P_V(u_i)|| = ||P_V(u_i)|| ||u_i - P_V(u_i)||. A checker
+    given these traces with a V of another basis raises ValueError.
     """
 
     horizon: int
@@ -316,6 +253,7 @@ class CriterionTraces:
     residual: np.ndarray          # (horizon, k): ||u_i - P_V(u_i)||
     coefficient_mass: np.ndarray  # (horizon, k): sum_j <u_i, v_j>^2
     projection_norm: np.ndarray   # (horizon, k): ||P_V(u_i)||
+    limit_basis: np.ndarray       # (k, d): the basis of the V they were measured against
 
     @property
     def joint_volume(self) -> np.ndarray:
@@ -340,21 +278,12 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
         )
     k, d = seq.k, seq.ambient_dim
     B = V.basis
-    # a sequence given per index is stacked per chunk, then checked like any other
-    rule = seq.batch_rule or (lambda ns: [_checked_basis(seq, n) for n in ns.tolist()])
     gap = np.empty(horizon)
     residual, coefficient_mass, projection_norm = (np.empty((horizon, k)) for _ in range(3))
     chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * d)))
     for lo in range(0, horizon, chunk):
         ns = np.arange(lo + 1, min(lo + chunk, horizon) + 1)
-        A = _call_rule(lambda ns: np.ascontiguousarray(rule(ns), dtype=float), ns, lo + 1)
-        if A.shape != (len(ns), k, d):
-            raise RuleEvaluationError(
-                lo + 1, f"batch rule returned shape {A.shape}, expected {(len(ns), k, d)}"
-            )
-        bad = linalg.first_non_orthonormal(A)
-        if bad is not None:
-            raise RuleEvaluationError(lo + 1 + bad[0], bad[1])
+        A = seq.bases(ns)
         rows = slice(lo, lo + len(ns))
         # each (m, k, d) array is dropped once read and none outlives its chunk,
         # which at k=8, d=40 cuts the pass's temporaries from ~1.0 to ~0.5 MiB
@@ -370,7 +299,7 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
             s = np.abs(R[small]).max(axis=-1, keepdims=True)
             r[small] = s[:, 0] * np.linalg.norm(R[small] / np.where(s > 0, s, 1.0), axis=-1)
         del R
-    return CriterionTraces(horizon, k, gap, residual, coefficient_mass, projection_norm)
+    return CriterionTraces(horizon, k, gap, residual, coefficient_mass, projection_norm, B)
 
 
 # --------------------------------------------------------------------------
@@ -437,6 +366,8 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
             f"precomputed traces have horizon {traces.horizon}, k={traces.k} and column "
             f"shapes {shapes}; expected horizon {horizon} with k={seq.k}"
         )
+    if not np.array_equal(traces.limit_basis, V.basis):
+        raise ValueError("precomputed traces were measured against another candidate limit")
     # Each basis vector of U_n is a unit vector of U_n, so its residual is
     # at most the gap, and every criterion's exceptional set at eps is the
     # residual's; a certificate for the gap's exceptional sets therefore
@@ -545,78 +476,3 @@ def self_projection_volume_check(
         and subspace_overall is Verdict.DOES_NOT_CONVERGE
     )
     return VolumeCheckReport(volume, subspace_overall, implication_holds, converse_falsified)
-
-
-# --------------------------------------------------------------------------
-# Built-in sequences
-
-# parity_split_example's variants; the first is its default
-PARITY_VARIANTS = ("amended", "printed")
-
-
-def parity_split_example(variant: str = "amended"):
-    """Line sequence in R^3 whose behavior depends on the parity of n.
-
-    On odd n the line is span{e3}, orthogonal to the candidate limit
-    V = span{e2}, so the gap is 1 there. On even n the line is the
-    normalization of a tilt away from e2:
-
-    * ``amended``: raw coefficients (sin(n)/n, 1, 0); after normalizing,
-      the gap to V is |sin n| / sqrt(n^2 + sin^2 n) <= 1/n, which decays.
-    * ``printed``: raw coefficients (sin(n)/n, 1/n, 0); the common 1/n
-      factor cancels under normalization, leaving direction
-      (sin n, 1, 0) / sqrt(1 + sin^2 n) whose gap to V oscillates with
-      |sin n| and never decays.
-
-    The amended variant carries an exceptional-set certificate: for each
-    eps the bad indices lie in the odd block union a finite prefix, which
-    puts them inside the block ideal but leaves them of density 1/2. The
-    printed variant gets no certificate because its even-index gaps do
-    not decay. Returns (sequence, candidate limit, recommended ideal).
-    """
-    if variant not in PARITY_VARIANTS:
-        raise ValueError(f"variant must be one of {PARITY_VARIANTS}, got {variant!r}")
-    V = Subspace(np.array([[0.0, 1.0, 0.0]]))
-
-    def batch_rule(ns: np.ndarray) -> np.ndarray:
-        raw = np.zeros((len(ns), 1, 3))
-        even = ns % 2 == 0  # the odd rows are span{e3}, set below
-        raw[even, 0, 0] = [math.sin(n) / n for n in ns[even].tolist()]  # libm's sin, as per index
-        raw[:, 0, 1] = 1.0 if variant == "amended" else 1.0 / ns
-        # a stacked dot matches the 1-d np.linalg.norm bit for bit; norm(axis=-1) does not
-        bases = raw / np.sqrt(raw @ raw.swapaxes(1, 2))
-        bases[~even] = [[0.0, 0.0, 1.0]]
-        return bases
-
-    certificate = None
-    if variant == "amended":
-
-        def certificate(eps: float) -> TailCertificate:
-            # even-index gaps are below 1/n, so they clear eps past 1/eps
-            return SubsetOfUnion(
-                (SubsetOfBlocks((1,)), EmptyTail(max(1, math.ceil(1.0 / eps))))
-            )
-
-    seq = SubspaceSequence(
-        batch_rule=batch_rule,
-        exceptional_certificate=certificate,
-        description=f"parity-split line in R^3 ({variant} variant)",
-    )
-    return seq, V, Ideal.blocks()
-
-
-def constant_orthogonal_example():
-    """The constant line span{e1} in R^2 against the limit V = span{e2}.
-
-    The gap to V is identically 1, so the sequence converges under no
-    admissible ideal; yet every self-projection volume ||u, P_V(u)|| is
-    identically 0 because the projection itself vanishes. This is the
-    standard witness that the volume check is one-directional. Returns
-    (sequence, candidate limit).
-    """
-    V = Subspace(np.array([[0.0, 1.0]]))
-    seq = SubspaceSequence(
-        batch_rule=lambda ns: np.broadcast_to([[1.0, 0.0]], (len(ns), 1, 2)),
-        description="constant line span{e1} in R^2",
-    )
-    return seq, V

@@ -17,7 +17,7 @@ from subspace_limits import (
     parity_split_example,
 )
 from subspace_limits import cli, convergence
-from subspace_limits.cli import rotating_family
+from subspace_limits.sequences import rotating_family
 
 INDICES = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(np.array)
 
@@ -201,6 +201,37 @@ def test_batch_rule_failure_is_a_rule_error(monkeypatch):
         criterion_traces(dataclasses.replace(lines, batch_rule=failing), lines.rule(1), 25)
     assert excinfo.value.index == 21
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+
+
+def test_failing_batch_rule_names_the_index_that_fails():
+    # one chunk covers 1..100; the rule fails on every chunk that holds 6
+    lines = line_sequence({})
+
+    def failing(ns):
+        if (ns == 6).any():
+            raise OverflowError("6 ** 400")
+        return lines.batch_rule(ns)
+
+    with pytest.raises(RuleEvaluationError) as excinfo:
+        criterion_traces(dataclasses.replace(lines, batch_rule=failing), lines.rule(1), 100)
+    assert excinfo.value.index == 6
+    assert str(excinfo.value) == "sequence rule failed at index 6: 6 ** 400"
+    assert isinstance(excinfo.value.__cause__, OverflowError)
+
+
+def test_batch_rule_failing_only_whole_keeps_the_chunk_start(monkeypatch):
+    monkeypatch.setattr(convergence, "TRACE_CHUNK_ELEMENTS", 20)
+    lines = line_sequence({})
+
+    def failing(ns):
+        if len(ns) > 1 and ns[0] > 10:
+            raise MemoryError("chunk too large")
+        return lines.batch_rule(ns)
+
+    with pytest.raises(RuleEvaluationError) as excinfo:
+        criterion_traces(dataclasses.replace(lines, batch_rule=failing), lines.rule(1), 25)
+    assert excinfo.value.index == 11
+    assert str(excinfo.value).endswith(": chunk too large")
 
 
 def test_sequence_takes_exactly_one_rule():

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its file formats."""
 
+import ast
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_limits import _g17, cli
+from subspace_limits import _g17, cli, sequences
 from subspace_limits.cli import (
     EXIT_CONVERGES,
     EXIT_DOES_NOT_CONVERGE,
@@ -25,11 +26,11 @@ from subspace_limits.cli import (
     build_experiment,
     load_config,
     main,
-    rotating_family,
     write_trace_csv,
 )
-from subspace_limits.convergence import CriterionTraces, criterion_traces, parity_split_example
+from subspace_limits.convergence import CriterionTraces, criterion_traces
 from subspace_limits.linalg import RankDeficiencyError, orthonormalize
+from subspace_limits.sequences import parity_split_example, rotating_family
 
 
 def write(path, text):
@@ -621,6 +622,25 @@ def test_cli_runs_never_import_numpy_random(tmp_path):
     assert out.splitlines()[-1] == "[0, 0] False False"
 
 
+def test_library_import_stops_below_the_cli():
+    # imports run linalg -> ideals -> sequences -> convergence -> cli; the package
+    # stops before cli, so the config code's dependencies stay off the library path
+    code = (
+        "import sys\n"
+        "import subspace_limits\n"
+        "print([m for m in ('subspace_limits.cli', 'subspace_limits._g17', 'argparse')\n"
+        "       if m in sys.modules])\n"
+    )
+    assert run_fresh(code) == "[]\n"
+    names = set()
+    for node in ast.walk(ast.parse(Path(sequences.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert not {part for name in names for part in name.split(".")} & {"convergence", "cli"}
+
+
 def test_cli_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
     # under these flags any text-mode open without an encoding raises
     argvs = [
@@ -673,7 +693,7 @@ def test_suite_runs_are_byte_identical(tmp_path):
 
 
 def test_stable_outputs_script_reproduces_every_file(tmp_path):
-    # every file of 17 CLI runs, plus their printed lines and exit codes, in fresh processes
+    # every file of 24 CLI runs, plus their printed lines and exit codes, in fresh processes
     script = str(Path(__file__).resolve().parents[1] / "tools" / "stable_outputs.py")
     trees = []
     for root in (tmp_path / "a", tmp_path / "b"):
@@ -681,7 +701,7 @@ def test_stable_outputs_script_reproduces_every_file(tmp_path):
         run_fresh(f"import runpy, sys\nsys.argv = {argv!r}\n"
                   f"runpy.run_path({script!r}, run_name='__main__')\n")
         trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
-    assert len(trees[0]) == 34  # 15 reports, 15 traces, 2 emitted configs, the input, runs.txt
+    assert len(trees[0]) == 48  # 22 reports, 22 traces, 2 emitted configs, the input, runs.txt
     assert trees[0] == trees[1]
 
 
@@ -830,6 +850,7 @@ def test_trace_csv_keeps_the_per_row_template(tmp_path):
         projection_norm=np.array(
             [[third, 1.0], [1.0, 1.0], [0.1, 0.5], [-0.0, 1.0], [5e-324, 1.0], [1.0, 1.0]]
         ),
+        limit_basis=np.eye(2),
     )
     write_trace_csv(tmp_path / "trace.csv", traces)
     text = (tmp_path / "trace.csv").read_bytes()
@@ -844,7 +865,7 @@ def line_traces(gap, residual) -> CriterionTraces:
     gap, residual = np.array(gap, dtype=float), np.array(residual, dtype=float)
     h = len(gap)
     mass, projection = np.full((h, 1), 0.75), np.full((h, 1), 0.5)
-    return CriterionTraces(h, 1, gap, residual.reshape(h, 1), mass, projection)
+    return CriterionTraces(h, 1, gap, residual.reshape(h, 1), mass, projection, np.eye(1, 2))
 
 
 THIRD_UP = np.nextafter(1 / 3, 1.0)  # one ulp above 1/3
@@ -1220,7 +1241,7 @@ def test_rotating_family_orthonormalizes_only_the_rows_it_uses(monkeypatch, with
         handed.append(np.array(vectors))
         return orthonormalize(vectors)
 
-    monkeypatch.setattr(cli, "orthonormalize", recording)
+    monkeypatch.setattr(sequences, "orthonormalize", recording)
     rotating_family(d, k, {"kind": "constant", "value": 0.5}, 4, limit)
     [rows] = handed
     assert rows.shape == (2 * k, d)
@@ -1234,9 +1255,10 @@ def test_rotating_limit_basis_is_orthonormalized_once(tmp_path, monkeypatch):
     limit = np.random.default_rng(5).standard_normal((k, d))
     shapes = []
     real = cli.orthonormalize
-    monkeypatch.setattr(
-        cli, "orthonormalize", lambda rows: shapes.append(np.shape(rows)) or real(rows)
-    )
+    for module in (cli, sequences):  # build_experiment's own call and the rotating family's
+        monkeypatch.setattr(
+            module, "orthonormalize", lambda rows: shapes.append(np.shape(rows)) or real(rows)
+        )
     doc = {
         **PARITY_CONFIG,
         **rotating(ambient_dim=d, k=k, seed=4),

@@ -36,8 +36,9 @@ from subspace_limits import (
     subspace_i_converges,
 )
 from subspace_limits import convergence
-from subspace_limits.cli import report_to_dict, rotating_family, write_report
+from subspace_limits.cli import report_to_dict, write_report
 from subspace_limits.oracle import det_bruteforce, gap_bruteforce
+from subspace_limits.sequences import rotating_family
 
 HORIZON = 1000
 CHECKERS = [subspace_i_converges, equivalence_suite, self_projection_volume_check]
@@ -472,7 +473,9 @@ def test_columns_that_differ_at_one_index_share_no_verdicts(index, mass_deviatio
     r = gap_values[:, None]
     mass = 1.0 - r * r
     mass[index - 1, 0] = 1.0 - mass_deviation
-    traces = convergence.CriterionTraces(h, 1, gap_values, r.copy(), mass, np.sqrt(1.0 - r * r))
+    traces = convergence.CriterionTraces(
+        h, 1, gap_values, r.copy(), mass, np.sqrt(1.0 - r * r), V.basis
+    )
     report = equivalence_suite(seq, V, ideal, grid, h, traces=traces)
     for row, criterion in zip(convergence._CRITERIA, report.criteria):
         alone = convergence._judge((row,), seq, V, ideal, grid, h, traces).criteria[0]
@@ -897,6 +900,25 @@ def test_checkers_reject_traces_of_another_horizon(checker):
         checker(seq, V, Ideal.finite(), horizon=50, traces=criterion_traces(
             plane.seq, plane.limit, 50
         ))
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checkers_reject_traces_of_another_limit(checker):
+    # the traces measure span{e1} against span{e2}: gap 1 at every index, where
+    # against V = span{e1} it is 0, so judging them with that V read does_not_converge
+    seq, V = constant_orthogonal_example()
+    traces = criterion_traces(seq, V, 100)
+    other = orthonormalize([(1.0, 0.0)])
+    with pytest.raises(ValueError, match="another candidate limit"):
+        checker(seq, other, Ideal.finite(), horizon=100, traces=traces)
+    assert subspace_i_converges(seq, other, Ideal.finite(), horizon=100).overall is (
+        Verdict.CONVERGES
+    )
+    # the same basis in another array is the same limit
+    same = Subspace(V.basis.copy())
+    assert checker(seq, same, Ideal.finite(), horizon=100, traces=traces) == checker(
+        seq, V, Ideal.finite(), horizon=100, traces=traces
+    )
 
 
 def test_gap_checker_reuses_trace_gaps():

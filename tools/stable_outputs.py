@@ -6,9 +6,13 @@ The runs use the ``subspace_limits`` on the import path, in this process:
 
 * ``analyze`` and ``suite`` on parity-split, both variants under the finite,
   density and blocks ideals;
+* ``suite`` on parity-split with the eight-eps grid ``SWEEP_EPS``, both
+  variants under the three ideals;
 * ``analyze`` and ``suite`` on orthogonal-constant;
-* ``analyze`` on a rotating config (d=40, k=8, power_decay 0.45/n^2, density
-  tau 0.01, horizon 2000, seed 0) with no ``out_dir`` key and ``--out-dir`` given;
+* ``analyze`` and ``suite`` on a rotating config (d=40, k=8, power_decay
+  0.45/n^2, density tau 0.01, horizon 2000, seed 0) with no ``out_dir`` key
+  and ``--out-dir`` given; the suite's report holds per-vector evidence for
+  all eight basis vectors;
 * ``example NAME --emit-config`` for both built-ins.
 
 OUT_DIR must not exist. Each run writes into its own directory under it, and
@@ -34,6 +38,7 @@ from pathlib import Path
 
 from subspace_limits.cli import BUILTIN_SEQUENCES, EXIT_INCONCLUSIVE, main
 
+SWEEP_EPS = "0.5,0.3,0.2,0.1,0.05,0.02,0.01,0.005"
 ROTATING = {
     "sequence": {
         "family": "rotating",
@@ -59,7 +64,13 @@ def runs() -> list[list[str]]:
                 argvs.append([command, "parity-split", "--variant", variant,
                               "--ideal", ideal, "--out-dir", out])
         argvs.append([command, "orthogonal-constant", "--out-dir", f"{command}-orthogonal-constant"])
-    argvs.append(["analyze", "--config", "rotating.json", "--out-dir", "analyze-rotating"])
+    for variant in ("amended", "printed"):
+        for ideal in ("finite", "density", "blocks"):
+            out = f"sweep-parity-split-{variant}-{ideal}"
+            argvs.append(["suite", "parity-split", "--variant", variant, "--ideal", ideal,
+                          "--eps", SWEEP_EPS, "--out-dir", out])
+    for command in ("analyze", "suite"):
+        argvs.append([command, "--config", "rotating.json", "--out-dir", f"{command}-rotating"])
     for name in sorted(BUILTIN_SEQUENCES):
         argvs.append(["example", name, "--emit-config", f"example-{name}.json"])
     return argvs
