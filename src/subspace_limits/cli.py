@@ -191,13 +191,10 @@ def build_experiment(cfg: ExperimentConfig):
     else:  # the rotating family orthonormalizes the limit rows in its frame
         limit_rows = None if cfg.limit_basis is None else _limit_rows(cfg.limit_basis)
         params = cfg.sequence["params"]
-        d = _number(params["ambient_dim"], "sequence.params.ambient_dim", integer=True)
-        k = _number(params["k"], "sequence.params.k", integer=True)
-        seed = _number(params.get("seed", 0), "sequence.params.seed", integer=True)
         try:
-            seq, V = rotating_family(d, k, params["profile"], seed, limit_rows)
+            seq, V = rotating_family(**params, limit_basis=limit_rows)  # keys checked by validate
         except RankDeficiencyError as exc:
-            if exc.index >= k:  # a drawn companion row, not the config's
+            if exc.index >= params["k"]:  # a drawn companion row, not the config's
                 raise
             raise ConfigError("limit_basis", str(exc)) from None
     return seq, V, ideal

@@ -237,23 +237,28 @@ def _limit_from_values(
 
 @dataclass(frozen=True)
 class CriterionTraces:
-    """Raw per-index values feeding all five criteria plus the volume check.
+    """Raw per-index values of ``sequence`` against the candidate limit ``limit``.
 
-    Row n-1 of each array corresponds to index n; the columns of the
-    two-dimensional arrays follow the basis vectors of U_n. The two volumes
-    are derived from the residual: for an orthonormal basis of V the Gram
-    determinants factorise, so ||u_i, v_1, ..., v_k|| = ||u_i - P_V(u_i)||
-    and ||u_i, P_V(u_i)|| = ||P_V(u_i)|| ||u_i - P_V(u_i)||. A checker
-    given these traces with a V of another basis raises ValueError.
+    They feed all five criteria plus the volume check, and a checker pairs
+    them only with that sequence object, a limit of that basis and their
+    horizon; any other pairing raises ValueError. Row n-1 of each array is
+    index n; the columns of the two-dimensional arrays follow the basis
+    vectors of U_n. The two volumes are derived from the residual: for an
+    orthonormal basis of V the Gram determinants factorise, so
+    ||u_i, v_1, ..., v_k|| = ||u_i - P_V(u_i)|| and
+    ||u_i, P_V(u_i)|| = ||P_V(u_i)|| ||u_i - P_V(u_i)||.
     """
 
-    horizon: int
-    k: int
+    sequence: SubspaceSequence
+    limit: Subspace
     gap: np.ndarray               # (horizon,)
     residual: np.ndarray          # (horizon, k): ||u_i - P_V(u_i)||
     coefficient_mass: np.ndarray  # (horizon, k): sum_j <u_i, v_j>^2
     projection_norm: np.ndarray   # (horizon, k): ||P_V(u_i)||
-    limit_basis: np.ndarray       # (k, d): the basis of the V they were measured against
+
+    @property
+    def horizon(self) -> int:
+        return len(self.gap)
 
     @property
     def joint_volume(self) -> np.ndarray:
@@ -277,7 +282,6 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
             f"sequence has k={seq.k}, d={seq.ambient_dim}"
         )
     k, d = seq.k, seq.ambient_dim
-    B = V.basis
     gap = np.empty(horizon)
     residual, coefficient_mass, projection_norm = (np.empty((horizon, k)) for _ in range(3))
     chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * d)))
@@ -287,7 +291,7 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
         rows = slice(lo, lo + len(ns))
         # each (m, k, d) array is dropped once read and none outlives its chunk,
         # which at k=8, d=40 cuts the pass's temporaries from ~1.0 to ~0.5 MiB
-        C, P, R = linalg.cross_residual(A, B)
+        C, P, R = linalg.cross_residual(A, V.basis)
         del A
         coefficient_mass[rows] = np.einsum("nij,nij->ni", C, C)
         projection_norm[rows] = np.linalg.norm(P, axis=-1)
@@ -299,7 +303,7 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
             s = np.abs(R[small]).max(axis=-1, keepdims=True)
             r[small] = s[:, 0] * np.linalg.norm(R[small] / np.where(s > 0, s, 1.0), axis=-1)
         del R
-    return CriterionTraces(horizon, k, gap, residual, coefficient_mass, projection_norm, B)
+    return CriterionTraces(seq, V, gap, residual, coefficient_mass, projection_norm)
 
 
 # --------------------------------------------------------------------------
@@ -328,18 +332,17 @@ def _eps_threshold(eps: float) -> float:
     return eps
 
 
-# The five equivalent criteria: name, CriterionTraces column, candidate, and
-# the map from eps to the threshold on |value - candidate|. For a basis
-# vector with residual r, |mass - 1| = r^2, 1 - ||P_V(u)|| = 1 - sqrt(1 - r^2)
-# and the joint volume is r, so every per-vector exceptional set equals the
-# residual's at the same eps, up to round-off. The joint volume is the
-# residual column itself, so the suite judges it once for both rows.
+# Four of the five equivalent criteria: name, CriterionTraces column,
+# candidate, and the map from eps to the threshold on |value - candidate|.
+# For a basis vector with residual r, |mass - 1| = r^2 and 1 - ||P_V(u)|| =
+# 1 - sqrt(1 - r^2), so every per-vector exceptional set equals the
+# residual's at the same eps, up to round-off. The fifth, the joint volume,
+# is the residual column itself; the suite reports it under its own name.
 _CRITERIA = (
     ("gap", "gap", 0.0, _eps_threshold),
     ("vector_residual", "residual", 0.0, _eps_threshold),
     ("coefficient_mass", "coefficient_mass", 1.0, _mass_threshold),
     ("projection_norm", "projection_norm", 1.0, _projection_threshold),
-    ("joint_volume", "residual", 0.0, _eps_threshold),
 )
 _SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, _eps_threshold)
 
@@ -347,53 +350,45 @@ _SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, _eps_threshold)
 def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     """Table rows judged on the traces, the one path behind every checker.
 
-    Each row is judged on every column of its trace and conjoined. Rows that
-    share a column, candidate and threshold share one report, renamed per row,
-    and columns whose exceptional sets agree at every eps share one trail's
-    verdicts: a verdict depends only on the set, the ideal and the
-    certificate, and the last two are fixed for the call.
+    Each row is judged on every column of its trace and conjoined. Columns
+    whose exceptional sets agree at every eps share one trail's verdicts: a
+    verdict depends only on the set, the ideal and the certificate, and the
+    last two are fixed for the call.
     """
     grid = _validate_eps_grid(eps_grid)
     horizon = _integer(horizon, "horizon")
     if traces is None:
         traces = criterion_traces(seq, V, horizon)
-    # the labels alone would let arrays of another length or k be judged
     shapes = [a.shape for a in (traces.gap, traces.residual, traces.coefficient_mass,
                                 traces.projection_norm)]
-    expected = [(horizon,)] + [(horizon, seq.k)] * 3
-    if (traces.horizon, traces.k, shapes) != (horizon, seq.k, expected):
+    if not (traces.sequence is seq and np.array_equal(traces.limit.basis, V.basis)
+            and shapes == [(horizon,)] + [(horizon, seq.k)] * 3):
         raise ValueError(
-            f"precomputed traces have horizon {traces.horizon}, k={traces.k} and column "
-            f"shapes {shapes}; expected horizon {horizon} with k={seq.k}"
+            f"precomputed traces of {traces.sequence.description!r} (column shapes {shapes}) "
+            f"do not pair with {seq.description!r}, this limit and horizon {horizon}, k={seq.k}"
         )
-    if not np.array_equal(traces.limit_basis, V.basis):
-        raise ValueError("precomputed traces were measured against another candidate limit")
     # Each basis vector of U_n is a unit vector of U_n, so its residual is
     # at most the gap, and every criterion's exceptional set at eps is the
     # residual's; a certificate for the gap's exceptional sets therefore
     # covers the exceptional sets of every criterion at the same eps.
     certs = _certificates(seq.exceptional_certificate, grid)
-    judged: dict[tuple, CriterionReport] = {}
     decided: dict[bytes, tuple[IdealVerdict, ...]] = {}
+    criteria = []
     for name, column, candidate, threshold in rows:
-        if (column, candidate, threshold) in judged:
-            continue
         thresholds = tuple(threshold(eps) for eps in grid)
         reps = tuple(
             _limit_from_values(values, candidate, ideal, grid, thresholds, certs, decided)
             for values in getattr(traces, column).reshape(horizon, -1).T
         )
-        overall = _conjoin([r.overall for r in reps])
-        judged[column, candidate, threshold] = CriterionReport(
-            name, candidate, reps, overall, thresholds
+        criteria.append(
+            CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]), thresholds)
         )
-    criteria = tuple(replace(judged[row[1:]], name=row[0]) for row in rows)
     evidence = {
         "sequence": seq.description,
         "gap_max": float(traces.gap.max()),
         "gap_final": float(traces.gap[-1]),
     }
-    return ConvergenceReport(ideal, horizon, grid, criteria, criteria[0].overall, evidence)
+    return ConvergenceReport(ideal, horizon, grid, tuple(criteria), criteria[0].overall, evidence)
 
 
 def subspace_i_converges(
@@ -427,7 +422,9 @@ def equivalence_suite(
     residual's (see ``CriterionReport.thresholds``). Pass precomputed
     ``traces`` to amortize evaluation across several ideals.
     """
-    return _judge(_CRITERIA, seq, V, ideal, eps_grid, horizon, traces)
+    report = _judge(_CRITERIA, seq, V, ideal, eps_grid, horizon, traces)
+    joint_volume = replace(report.criteria[1], name="joint_volume")  # the residual column
+    return replace(report, criteria=report.criteria + (joint_volume,))
 
 
 @dataclass(frozen=True)
@@ -459,15 +456,17 @@ def self_projection_volume_check(
     """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0.
 
     Pass the ``report`` of ``equivalence_suite`` or ``subspace_i_converges``
-    for the same ideal, eps grid and horizon to reuse its gap verdicts.
+    for the same experiment (ideal, eps grid, horizon, sequence and gaps) to
+    reuse its gap verdicts.
     """
-    mine = (ideal, _validate_eps_grid(eps_grid), horizon)
-    if report is not None and (theirs := (report.ideal, report.eps_grid, report.horizon)) != mine:
-        raise ValueError(f"report judged (ideal, eps grid, horizon) {theirs}, not {mine}")
     rows = ((_CRITERIA[0],) if report is None else ()) + (_SELF_VOLUME,)
     judged = _judge(rows, seq, V, ideal, eps_grid, horizon, traces)
     volume = judged.criteria[-1]
-    subspace_overall = (judged if report is None else report).overall
+    report = judged if report is None else report
+    theirs, mine = ((r.ideal, r.eps_grid, r.horizon, r.evidence) for r in (report, judged))
+    if theirs != mine:
+        raise ValueError(f"report judged (ideal, eps grid, horizon, evidence) {theirs}, not {mine}")
+    subspace_overall = report.overall
     implication_holds = not (
         subspace_overall is Verdict.CONVERGES and volume.overall is not Verdict.CONVERGES
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -303,8 +302,9 @@ def rotating_family(
     under any NumPy version, though not the one it named when NumPy's normal
     generator drew the frame. The rows equal the first 2k rows of a full
     d-row frame, as Gram-Schmidt row i depends only on the rows before it and
-    the stream's prefix does not depend on how many rows are drawn. ``seed``
-    is an integer (``operator.index``); a float seed is a TypeError.
+    the stream's prefix does not depend on how many rows are drawn.
+    ``ambient_dim``, ``k`` and ``seed`` are integers; a bool or a float is a
+    ConfigError.
     Basis vector i of U_n is cos(theta) v_i + sin(theta) w_i where w_i is
     the i-th companion direction and sin(theta) = profile(n)[i], so the
     gap to the limit is exactly max_i profile(n)[i]. Profiles:
@@ -317,6 +317,9 @@ def rotating_family(
     Values are real numbers (not bools), or lists of k for ``value``, ``scale``,
     ``odd_value`` and ``even_scale``; anything else is a ConfigError.
     """
+    ambient_dim = _number(ambient_dim, "sequence.params.ambient_dim", integer=True)
+    k = _number(k, "sequence.params.k", integer=True)
+    seed = _number(seed, "sequence.params.seed", integer=True)
     if k < 1:
         raise ConfigError("sequence.params.k", "must be >= 1")
     if ambient_dim < 2 * k:
@@ -328,7 +331,7 @@ def rotating_family(
     limit_rows = np.empty((0, ambient_dim)) if limit_basis is None else limit_basis
     if limit_basis is not None and np.shape(limit_rows) != (k, ambient_dim):
         raise ConfigError("limit_basis", f"expected {k} rows of length {ambient_dim}")
-    rng = random.Random(operator.index(seed))
+    rng = random.Random(seed)
     rows = 2 * k - len(limit_rows)
     uniforms = np.array([rng.random() for _ in range(rows * ambient_dim)])
     randoms = (2.0 * uniforms - 1.0).reshape(rows, ambient_dim)  # exact: [-1, 1) on a 2^-52 grid

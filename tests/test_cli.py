@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its file formats."""
 
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -693,7 +694,7 @@ def test_suite_runs_are_byte_identical(tmp_path):
 
 
 def test_stable_outputs_script_reproduces_every_file(tmp_path):
-    # every file of 24 CLI runs, plus their printed lines and exit codes, in fresh processes
+    # every file of 30 CLI runs, plus their printed lines and exit codes, in fresh processes
     script = str(Path(__file__).resolve().parents[1] / "tools" / "stable_outputs.py")
     trees = []
     for root in (tmp_path / "a", tmp_path / "b"):
@@ -701,7 +702,8 @@ def test_stable_outputs_script_reproduces_every_file(tmp_path):
         run_fresh(f"import runpy, sys\nsys.argv = {argv!r}\n"
                   f"runpy.run_path({script!r}, run_name='__main__')\n")
         trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
-    assert len(trees[0]) == 48  # 22 reports, 22 traces, 2 emitted configs, the input, runs.txt
+    # 26 reports, 26 traces, 2 emitted configs, 3 input configs, 2 basis files, runs.txt
+    assert len(trees[0]) == 60
     assert trees[0] == trees[1]
 
 
@@ -833,13 +835,18 @@ def per_row_trace(traces) -> bytes:
     return "\n".join([TRACE_HEADER, *rows]).encode() + b"\n"
 
 
+def with_columns(**columns) -> CriterionTraces:
+    """A real trace pass of the columns' shape, its columns replaced by these."""
+    h, k = columns["residual"].shape
+    seq, V = rotating_family(2 * k, k, {"kind": "constant", "value": 0.5})
+    return dataclasses.replace(criterion_traces(seq, V, h), **columns)
+
+
 def test_trace_csv_keeps_the_per_row_template(tmp_path):
     # -0 and subnormals keep their text; the residual column fills two fields,
     # and the last row's gap equals its residual
     third = 1 / 3
-    traces = CriterionTraces(
-        horizon=6,
-        k=2,
+    traces = with_columns(
         gap=np.array([-0.0, 5e-324, 1.0, 0.1, third, 0.25]),
         residual=np.array(
             [[-0.0, -0.0], [5e-324, 0.0], [1.0, 0.1], [0.1, third], [third, 0.0], [0.25, 0.125]]
@@ -850,7 +857,6 @@ def test_trace_csv_keeps_the_per_row_template(tmp_path):
         projection_norm=np.array(
             [[third, 1.0], [1.0, 1.0], [0.1, 0.5], [-0.0, 1.0], [5e-324, 1.0], [1.0, 1.0]]
         ),
-        limit_basis=np.eye(2),
     )
     write_trace_csv(tmp_path / "trace.csv", traces)
     text = (tmp_path / "trace.csv").read_bytes()
@@ -865,7 +871,9 @@ def line_traces(gap, residual) -> CriterionTraces:
     gap, residual = np.array(gap, dtype=float), np.array(residual, dtype=float)
     h = len(gap)
     mass, projection = np.full((h, 1), 0.75), np.full((h, 1), 0.5)
-    return CriterionTraces(h, 1, gap, residual.reshape(h, 1), mass, projection, np.eye(1, 2))
+    return with_columns(
+        gap=gap, residual=residual.reshape(h, 1), coefficient_mass=mass, projection_norm=projection
+    )
 
 
 THIRD_UP = np.nextafter(1 / 3, 1.0)  # one ulp above 1/3
@@ -1222,13 +1230,20 @@ def test_rotating_family_frame_matches_reference(seed, dk, with_limit):
 
 
 def test_rotating_family_seed_is_an_integer():
+    # the dimensions and the seed follow the config's integer rule: True ran as
+    # k = 1 (described as "k=True") or seed 1, and a float was a bare TypeError
     profile = {"kind": "constant", "value": 1.0}
     seq, V = rotating_family(12, 3, profile, 3)
-    seq64, V64 = rotating_family(12, 3, profile, np.int64(3))
+    seq64, V64 = rotating_family(np.int64(12), np.int64(3), profile, np.int64(3))
     assert np.array_equal(V64.basis, V.basis)
     assert np.array_equal(seq64.rule(1).basis, seq.rule(1).basis)
-    with pytest.raises(TypeError):
-        rotating_family(12, 3, profile, 2.9)
+    assert seq64.description == seq.description
+    for args, field in [((12, 3, profile, 2.9), "seed"), ((12, 3, profile, True), "seed"),
+                        ((40, True, profile), "k"), ((40, 2.0, profile), "k"),
+                        ((40.0, 2, profile), "ambient_dim")]:
+        with pytest.raises(ConfigError) as excinfo:
+            rotating_family(*args)
+        assert excinfo.value.field == f"sequence.params.{field}", args
 
 
 @pytest.mark.parametrize("with_limit", [False, True])

@@ -473,8 +473,9 @@ def test_columns_that_differ_at_one_index_share_no_verdicts(index, mass_deviatio
     r = gap_values[:, None]
     mass = 1.0 - r * r
     mass[index - 1, 0] = 1.0 - mass_deviation
-    traces = convergence.CriterionTraces(
-        h, 1, gap_values, r.copy(), mass, np.sqrt(1.0 - r * r), V.basis
+    traces = dataclasses.replace(
+        criterion_traces(seq, V, h), gap=gap_values, residual=r.copy(), coefficient_mass=mass,
+        projection_norm=np.sqrt(1.0 - r * r),
     )
     report = equivalence_suite(seq, V, ideal, grid, h, traces=traces)
     for row, criterion in zip(convergence._CRITERIA, report.criteria):
@@ -760,24 +761,6 @@ def test_volume_check_with_report_judges_only_the_volume(monkeypatch):
     assert judged == [["self_projection_volume"], ["gap", "self_projection_volume"]]
 
 
-@pytest.mark.parametrize(
-    "ideal, grid, horizon",
-    [(Ideal.density(), (0.5, 0.1), 400), (Ideal.blocks(), (0.5, 0.2), 400),
-     (Ideal.blocks(), (0.5,), 400), (Ideal.blocks(), (0.5, 0.1), 300)],
-    ids=["ideal", "eps", "grid-length", "horizon"],
-)
-def test_volume_check_rejects_a_report_of_another_run(ideal, grid, horizon):
-    seq, V, blocks = parity_split_example("amended")
-    traces = criterion_traces(seq, V, 400)
-    report = equivalence_suite(seq, V, blocks, (0.5, 0.1), 400, traces=traces)
-    with pytest.raises(ValueError, match="report judged"):
-        self_projection_volume_check(
-            seq, V, ideal, grid, horizon, traces=criterion_traces(seq, V, horizon), report=report
-        )
-    # the same run, with the grid given as a list of ints and floats, is accepted
-    self_projection_volume_check(seq, V, blocks, [0.5, 0.1], 400, traces=traces, report=report)
-
-
 def test_volume_check_direction_on_battery():
     for member in build_battery():
         traces = criterion_traces(member.seq, member.limit, 500)
@@ -886,38 +869,68 @@ def test_sequence_probe_failure_is_a_rule_error():
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
 
 
-@pytest.mark.parametrize("checker", CHECKERS)
-def test_checkers_reject_traces_of_another_horizon(checker):
-    seq, V = constant_orthogonal_example()
-    traces = criterion_traces(seq, V, 50)
-    with pytest.raises(ValueError, match="horizon 50"):
-        checker(seq, V, Ideal.finite(), horizon=1000, traces=traces)
-    # relabelled traces: 50 rows of k=1 used to be judged as 10 rows of 5 vectors
-    with pytest.raises(ValueError, match=r"shapes \[\(50,\), \(50, 1\)"):
-        checker(seq, V, Ideal.finite(), horizon=10, traces=dataclasses.replace(traces, horizon=10))
-    plane = make_member("plane", 4, 2, 3, lambda n: np.array([0.1, 0.1]), None, {})
-    with pytest.raises(ValueError, match="k=1"):
-        checker(seq, V, Ideal.finite(), horizon=50, traces=criterion_traces(
-            plane.seq, plane.limit, 50
-        ))
+PAIRING_GRID, PAIRING_HORIZON = (0.5, 0.1, 0.01), 1000
+TRACE_CASES = ("horizon", "truncated-gap", "k", "limit", "sequence")
+REPORT_CASES = ("ideal", "eps", "grid-length", "horizon", "sequence")
 
 
-@pytest.mark.parametrize("checker", CHECKERS)
-def test_checkers_reject_traces_of_another_limit(checker):
-    # the traces measure span{e1} against span{e2}: gap 1 at every index, where
-    # against V = span{e1} it is 0, so judging them with that V read does_not_converge
-    seq, V = constant_orthogonal_example()
-    traces = criterion_traces(seq, V, 100)
-    other = orthonormalize([(1.0, 0.0)])
-    with pytest.raises(ValueError, match="another candidate limit"):
-        checker(seq, other, Ideal.finite(), horizon=100, traces=traces)
-    assert subspace_i_converges(seq, other, Ideal.finite(), horizon=100).overall is (
-        Verdict.CONVERGES
-    )
-    # the same basis in another array is the same limit
+def mismatched(case: str):
+    """(seq, V, horizon, traces, report): values of another experiment handed to a checker.
+
+    Each trace case fails one clause of the pairing alone (column shapes, limit
+    basis, sequence object); each report case hands the volume check the
+    amended suite report of another ideal, grid, horizon or sequence.
+    """
+    amended, V, blocks = parity_split_example("amended")
+    traces = criterion_traces(amended, V, PAIRING_HORIZON)
+    printed = parity_split_example("printed")[0]
+    if case == "traces-horizon":
+        return amended, V, 500, traces, None
+    if case == "traces-truncated-gap":
+        return amended, V, PAIRING_HORIZON, dataclasses.replace(traces, gap=traces.gap[:-1]), None
+    if case == "traces-k":  # the sequence's own traces holding a plane's columns
+        plane = criterion_traces(*rotating_family(4, 2, {"kind": "constant", "value": 0.1}),
+                                 PAIRING_HORIZON)
+        columns = {c: getattr(plane, c) for c in ("residual", "coefficient_mass",
+                                                  "projection_norm")}
+        return amended, V, PAIRING_HORIZON, dataclasses.replace(traces, **columns), None
+    if case == "traces-limit":  # span{e1} is as far from span{e2} as U_n can be
+        return amended, orthonormalize([(1.0, 0.0, 0.0)]), PAIRING_HORIZON, traces, None
+    if case == "traces-sequence":  # the amended values read `converges` under printed's name
+        return printed, V, PAIRING_HORIZON, traces, None
+    if case == "report-sequence":  # a printed volume row read amended's `converges`
+        printed_traces = criterion_traces(printed, V, PAIRING_HORIZON)
+        report = equivalence_suite(amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON, traces=traces)
+        return printed, V, PAIRING_HORIZON, printed_traces, report
+    ideal, grid, horizon = {
+        "report-ideal": (Ideal.density(), PAIRING_GRID, PAIRING_HORIZON),
+        "report-eps": (blocks, (0.5, 0.2, 0.01), PAIRING_HORIZON),
+        "report-grid-length": (blocks, (0.5, 0.1), PAIRING_HORIZON),
+        "report-horizon": (blocks, PAIRING_GRID, 500),
+    }[case]
+    return amended, V, PAIRING_HORIZON, traces, equivalence_suite(amended, V, ideal, grid, horizon)
+
+
+@pytest.mark.parametrize("checker, case", [
+    *((checker, f"traces-{case}") for checker in CHECKERS for case in TRACE_CASES),
+    *((self_projection_volume_check, f"report-{case}") for case in REPORT_CASES),
+], ids=lambda p: {subspace_i_converges: "gap", equivalence_suite: "suite",
+                  self_projection_volume_check: "volume"}.get(p, p))
+def test_checkers_judge_only_their_own_experiment(checker, case):
+    seq, V, horizon, traces, report = mismatched(case)
+    extra = {} if report is None else {"report": report}
+    with pytest.raises(ValueError, match="do not pair|report judged"):
+        checker(seq, V, Ideal.blocks(), PAIRING_GRID, horizon, traces=traces, **extra)
+    # the experiment's own values pair, with an equal basis in another array
+    # and the grid given as a list
+    amended, V, blocks = parity_split_example("amended")
+    traces = criterion_traces(amended, V, PAIRING_HORIZON)
+    own = {"traces": traces}
+    if report is not None:
+        own["report"] = equivalence_suite(amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON, **own)
     same = Subspace(V.basis.copy())
-    assert checker(seq, same, Ideal.finite(), horizon=100, traces=traces) == checker(
-        seq, V, Ideal.finite(), horizon=100, traces=traces
+    assert checker(amended, same, blocks, list(PAIRING_GRID), PAIRING_HORIZON, **own) == checker(
+        amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON
     )
 
 

@@ -13,7 +13,11 @@ The runs use the ``subspace_limits`` on the import path, in this process:
   0.45/n^2, density tau 0.01, horizon 2000, seed 0) with no ``out_dir`` key
   and ``--out-dir`` given; the suite's report holds per-vector evidence for
   all eight basis vectors;
-* ``example NAME --emit-config`` for both built-ins.
+* ``analyze`` and ``suite`` on two configs whose ``limit_basis`` replaces the
+  candidate limit: parity-split (printed variant) and a small rotating one;
+* ``gap`` on a whitespace-separated and a comma-separated basis file;
+* ``example`` with no name, and ``example NAME --emit-config`` for both
+  built-ins.
 
 OUT_DIR must not exist. Each run writes into its own directory under it, and
 ``runs.txt`` records every run's arguments, exit code and standard output.
@@ -39,20 +43,45 @@ from pathlib import Path
 from subspace_limits.cli import BUILTIN_SEQUENCES, EXIT_INCONCLUSIVE, main
 
 SWEEP_EPS = "0.5,0.3,0.2,0.1,0.05,0.02,0.01,0.005"
-ROTATING = {
-    "sequence": {
-        "family": "rotating",
-        "params": {
-            "ambient_dim": 40,
-            "k": 8,
-            "seed": 0,
-            "profile": {"kind": "power_decay", "scale": 0.45, "exponent": 2.0},
+CONFIGS = {
+    "rotating": {
+        "sequence": {
+            "family": "rotating",
+            "params": {
+                "ambient_dim": 40,
+                "k": 8,
+                "seed": 0,
+                "profile": {"kind": "power_decay", "scale": 0.45, "exponent": 2.0},
+            },
         },
+        "ideal": {"kind": "density", "tau": 0.01},
+        "horizon": 2000,
+        "eps_grid": [0.5, 0.1, 0.01],
     },
-    "ideal": {"kind": "density", "tau": 0.01},
-    "horizon": 2000,
-    "eps_grid": [0.5, 0.1, 0.01],
+    "parity-limit": {
+        "sequence": {"builtin": "parity-split", "variant": "printed"},
+        "ideal": {"kind": "density"},
+        "horizon": 500,
+        "eps_grid": [0.5, 0.1, 0.01],
+        "limit_basis": [[0.0, 2.0, 0.5]],
+    },
+    "rotating-limit": {
+        "sequence": {
+            "family": "rotating",
+            "params": {
+                "ambient_dim": 6,
+                "k": 2,
+                "seed": 3,
+                "profile": {"kind": "power_decay", "scale": 0.5, "exponent": 1.0},
+            },
+        },
+        "ideal": {"kind": "finite"},
+        "horizon": 200,
+        "eps_grid": [0.5, 0.1, 0.01],
+        "limit_basis": [[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0, 0.0]],
+    },
 }
+BASIS_FILES = {"basis-u.txt": "1 0 0\n0 1 0.5\n", "basis-v.csv": "1,0.1,0\n0,1,0\n"}
 
 
 def runs() -> list[list[str]]:
@@ -69,8 +98,11 @@ def runs() -> list[list[str]]:
             out = f"sweep-parity-split-{variant}-{ideal}"
             argvs.append(["suite", "parity-split", "--variant", variant, "--ideal", ideal,
                           "--eps", SWEEP_EPS, "--out-dir", out])
-    for command in ("analyze", "suite"):
-        argvs.append([command, "--config", "rotating.json", "--out-dir", f"{command}-rotating"])
+    for name in CONFIGS:
+        for command in ("analyze", "suite"):
+            argvs.append([command, "--config", f"{name}.json", "--out-dir", f"{command}-{name}"])
+    argvs.append(["gap", *BASIS_FILES])
+    argvs.append(["example"])
     for name in sorted(BUILTIN_SEQUENCES):
         argvs.append(["example", name, "--emit-config", f"example-{name}.json"])
     return argvs
@@ -79,8 +111,10 @@ def runs() -> list[list[str]]:
 def write_outputs(out_dir: Path) -> int:
     out_dir.mkdir(parents=True)
     os.chdir(out_dir)
-    config = json.dumps(ROTATING, indent=2, sort_keys=True) + "\n"
-    Path("rotating.json").write_bytes(config.encode())
+    for name, doc in CONFIGS.items():
+        Path(f"{name}.json").write_bytes(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
+    for name, text in BASIS_FILES.items():
+        Path(name).write_bytes(text.encode())
     log, failed = [], 0
     for argv in runs():
         with contextlib.redirect_stdout(io.StringIO()) as out:
