@@ -255,6 +255,8 @@ class CriterionTraces:
     residual: np.ndarray          # (horizon, k): ||u_i - P_V(u_i)||
     coefficient_mass: np.ndarray  # (horizon, k): sum_j <u_i, v_j>^2
     projection_norm: np.ndarray   # (horizon, k): ||P_V(u_i)||
+    # the gap trail a checker last judged here: (ideal, certificates, level bytes, verdicts)
+    _judged_gap: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -353,7 +355,8 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     Each row is judged on every column of its trace and conjoined. Columns
     whose exceptional sets agree at every eps share one trail's verdicts: a
     verdict depends only on the set, the ideal and the certificate, and the
-    last two are fixed for the call.
+    last two are fixed for the call. The gap trail last judged on the traces
+    is shared too when the call's ideal and certificates equal its own.
     """
     grid = _validate_eps_grid(eps_grid)
     horizon = _integer(horizon, "horizon")
@@ -373,6 +376,8 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     # covers the exceptional sets of every criterion at the same eps.
     certs = _certificates(seq.exceptional_certificate, grid)
     decided: dict[bytes, tuple[IdealVerdict, ...]] = {}
+    if (last := traces._judged_gap) and last[0] == ideal and last[1] == certs:
+        decided[last[2]] = last[3]
     criteria = []
     for name, column, candidate, threshold in rows:
         thresholds = tuple(threshold(eps) for eps in grid)
@@ -383,6 +388,9 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
         criteria.append(
             CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]), thresholds)
         )
+        if column == "gap":  # the first row and one column: its trail is decided's last key
+            key = next(reversed(decided))
+            object.__setattr__(traces, "_judged_gap", (ideal, certs, key, decided[key]))
     evidence = {
         "sequence": seq.description,
         "gap_max": float(traces.gap.max()),
@@ -451,22 +459,14 @@ def self_projection_volume_check(
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     horizon: int = DEFAULT_HORIZON,
     traces: Optional[CriterionTraces] = None,
-    report: Optional[ConvergenceReport] = None,
 ) -> VolumeCheckReport:
     """Evaluate the necessary-condition trace ||u_i, P_V(u_i)|| -> 0.
 
-    Pass the ``report`` of ``equivalence_suite`` or ``subspace_i_converges``
-    for the same experiment (ideal, eps grid, horizon, sequence and gaps) to
-    reuse its gap verdicts.
+    On ``traces`` that a checker last judged under an equal ideal and equal
+    certificates, the gap verdicts are that call's, not decided again.
     """
-    rows = ((_CRITERIA[0],) if report is None else ()) + (_SELF_VOLUME,)
-    judged = _judge(rows, seq, V, ideal, eps_grid, horizon, traces)
-    volume = judged.criteria[-1]
-    report = judged if report is None else report
-    theirs, mine = ((r.ideal, r.eps_grid, r.horizon, r.evidence) for r in (report, judged))
-    if theirs != mine:
-        raise ValueError(f"report judged (ideal, eps grid, horizon, evidence) {theirs}, not {mine}")
-    subspace_overall = report.overall
+    judged = _judge((_CRITERIA[0], _SELF_VOLUME), seq, V, ideal, eps_grid, horizon, traces)
+    volume, subspace_overall = judged.criteria[-1], judged.overall
     implication_holds = not (
         subspace_overall is Verdict.CONVERGES and volume.overall is not Verdict.CONVERGES
     )

@@ -70,7 +70,7 @@ def test_instrument_wraps_and_restores_library(tmp_path):
 
 def test_suite_decides_each_distinct_column_once(tmp_path):
     # k=1, two eps: on parity-split all five suite columns share one
-    # exceptional-set trail; the volume check judges only the self volume's
-    # trail and takes the gap verdicts from the suite's report
+    # exceptional-set trail; the volume check on the suite's traces judges
+    # only the self volume's trail and takes the gap verdicts the suite left
     metrics = traced_op(load_spans(), tmp_path, "suite")
     assert metrics["ideals.decide_membership.calls"] == 4

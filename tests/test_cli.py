@@ -694,7 +694,7 @@ def test_suite_runs_are_byte_identical(tmp_path):
 
 
 def test_stable_outputs_script_reproduces_every_file(tmp_path):
-    # every file of 30 CLI runs, plus their printed lines and exit codes, in fresh processes
+    # every file of 32 CLI runs, plus their printed lines and exit codes, in fresh processes
     script = str(Path(__file__).resolve().parents[1] / "tools" / "stable_outputs.py")
     trees = []
     for root in (tmp_path / "a", tmp_path / "b"):
@@ -702,8 +702,8 @@ def test_stable_outputs_script_reproduces_every_file(tmp_path):
         run_fresh(f"import runpy, sys\nsys.argv = {argv!r}\n"
                   f"runpy.run_path({script!r}, run_name='__main__')\n")
         trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
-    # 26 reports, 26 traces, 2 emitted configs, 3 input configs, 2 basis files, runs.txt
-    assert len(trees[0]) == 60
+    # 28 reports, 28 traces, 2 emitted configs, 4 input configs, 2 basis files, runs.txt
+    assert len(trees[0]) == 65
     assert trees[0] == trees[1]
 
 
@@ -1284,6 +1284,23 @@ def test_rotating_limit_basis_is_orthonormalized_once(tmp_path, monkeypatch):
     _, V, _ = build_experiment(load_config(path))
     assert shapes == [(2 * k, d)]
     assert np.array_equal(V.basis, real(limit).basis)  # row i depends only on rows <= i
+
+
+@pytest.mark.parametrize("limit, code, mode", [
+    # another line: the certificate bounded the gaps to span{e2}, so it is dropped
+    ([[0.0, 2.0, 0.5]], EXIT_DOES_NOT_CONVERGE, "empirical"),
+    # span{e2} again, in another scale or sign: the certificate still holds
+    ([[0.0, 3.0, 0.0]], EXIT_CONVERGES, "exact"),
+    ([[0.0, -1.0, 0.0]], EXIT_CONVERGES, "exact"),
+])
+def test_builtin_limit_override_keeps_the_certificate_only_for_its_line(tmp_path, limit, code,
+                                                                         mode):
+    doc = {**PARITY_CONFIG, "eps_grid": [0.5, 0.1, 0.01], "limit_basis": limit}
+    path = write(tmp_path / "c.json", json.dumps(doc))
+    assert main(["analyze", "--config", path, "--out-dir", str(tmp_path / "o")]) == code
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    rows = report["criteria"][0]["per_vector"][0]["per_epsilon"]
+    assert [row["mode"] for row in rows] == [mode] * 3
 
 
 def test_rotating_family_rejects_bad_limit_basis():

@@ -736,29 +736,69 @@ def test_volume_check_converse_fails_on_orthogonal_constant():
         assert chk.converse_falsified
 
 
-def test_volume_check_takes_the_gap_verdicts_of_a_report():
+def test_volume_check_after_any_checker_equals_a_fresh_one():
     for member in build_battery():
         traces = criterion_traces(member.seq, member.limit, 300)
         for ideal in BATTERY_IDEALS.values():
             args = (member.seq, member.limit, ideal, (0.5, 0.1, 0.01), 300)
-            for checker in (equivalence_suite, subspace_i_converges):
-                report = checker(*args, traces=traces)
-                chk = self_projection_volume_check(*args, traces=traces, report=report)
-                assert chk == self_projection_volume_check(*args, traces=traces)
+            fresh = self_projection_volume_check(*args)
+            for checker in CHECKERS:
+                checker(*args, traces=traces)
+                assert self_projection_volume_check(*args, traces=traces) == fresh
 
 
-def test_volume_check_with_report_judges_only_the_volume(monkeypatch):
-    seq, V, ideal = parity_split_example("amended")
-    traces = criterion_traces(seq, V, 400)
-    report = equivalence_suite(seq, V, ideal, (0.5, 0.1), 400, traces=traces)
-    judged = []
-    real = convergence._judge
-    monkeypatch.setattr(
-        convergence, "_judge", lambda rows, *a: judged.append([r[0] for r in rows]) or real(rows, *a)
-    )
-    self_projection_volume_check(seq, V, ideal, (0.5, 0.1), 400, traces=traces, report=report)
-    self_projection_volume_check(seq, V, ideal, (0.5, 0.1), 400, traces=traces)
-    assert judged == [["self_projection_volume"], ["gap", "self_projection_volume"]]
+def _volume_check_decisions(monkeypatch, before, after):
+    """Memberships the volume check call ``after`` decides once ``before`` has run."""
+    decide, calls = convergence.decide_membership, []
+    before()
+    with monkeypatch.context() as mp:
+        mp.setattr(convergence, "decide_membership", lambda *a: calls.append(a) or decide(*a))
+        after()
+    return len(calls)
+
+
+def test_volume_check_decides_the_gap_trail_once_per_traces(monkeypatch):
+    # two eps; on amended parity-split the self volume's trail is not the gap's
+    # (0 at odd n, where the gap is 1), so a volume check decides 2 or 4 sets
+    pad = [0]  # widens the certified finite prefix: another, still valid certificate
+    seq, V, blocks = parity_split_example("amended")
+    certificate = seq.exceptional_certificate
+    seq = dataclasses.replace(seq, exceptional_certificate=lambda eps: SubsetOfUnion(
+        (certificate(eps), EmptyTail(math.ceil(1.0 / eps) + pad[0]))
+    ))
+    h, grid = 400, (0.5, 0.1)
+    traces = criterion_traces(seq, V, h)
+
+    def volume(ideal=blocks, grid=grid, traces=traces):
+        return lambda: self_projection_volume_check(seq, V, ideal, grid, h, traces=traces)
+
+    def suite():
+        equivalence_suite(seq, V, blocks, grid, h, traces=traces)
+
+    def widen():
+        suite()
+        pad[0] += 1
+
+    def edit_gap():  # n = 2 leaves the set at 0.1
+        suite()
+        traces.gap[1] = 0.0
+
+    for before, after in [
+        (suite, volume()),
+        (suite, volume(ideal=Ideal.blocks())),  # an equal ideal in another object
+        (volume(), volume()),
+        (lambda: subspace_i_converges(seq, V, blocks, grid, h, traces), volume()),
+    ]:
+        assert _volume_check_decisions(monkeypatch, before, after) == 2
+    for before, after in [
+        (suite, volume(ideal=Ideal.finite())),
+        (suite, volume(grid=(0.5, 0.2))),
+        (widen, volume()),
+        (suite, volume(traces=criterion_traces(seq, V, h))),
+        (suite, volume(traces=None)),
+        (edit_gap, volume()),
+    ]:
+        assert _volume_check_decisions(monkeypatch, before, after) == 4
 
 
 def test_volume_check_direction_on_battery():
@@ -871,67 +911,48 @@ def test_sequence_probe_failure_is_a_rule_error():
 
 PAIRING_GRID, PAIRING_HORIZON = (0.5, 0.1, 0.01), 1000
 TRACE_CASES = ("horizon", "truncated-gap", "k", "limit", "sequence")
-REPORT_CASES = ("ideal", "eps", "grid-length", "horizon", "sequence")
 
 
 def mismatched(case: str):
-    """(seq, V, horizon, traces, report): values of another experiment handed to a checker.
+    """(seq, V, horizon, traces): traces of another experiment handed to a checker.
 
-    Each trace case fails one clause of the pairing alone (column shapes, limit
-    basis, sequence object); each report case hands the volume check the
-    amended suite report of another ideal, grid, horizon or sequence.
+    Each case fails one clause of the pairing alone (column shapes, limit
+    basis, sequence object).
     """
-    amended, V, blocks = parity_split_example("amended")
+    amended, V, _ = parity_split_example("amended")
     traces = criterion_traces(amended, V, PAIRING_HORIZON)
     printed = parity_split_example("printed")[0]
     if case == "traces-horizon":
-        return amended, V, 500, traces, None
+        return amended, V, 500, traces
     if case == "traces-truncated-gap":
-        return amended, V, PAIRING_HORIZON, dataclasses.replace(traces, gap=traces.gap[:-1]), None
+        return amended, V, PAIRING_HORIZON, dataclasses.replace(traces, gap=traces.gap[:-1])
     if case == "traces-k":  # the sequence's own traces holding a plane's columns
         plane = criterion_traces(*rotating_family(4, 2, {"kind": "constant", "value": 0.1}),
                                  PAIRING_HORIZON)
         columns = {c: getattr(plane, c) for c in ("residual", "coefficient_mass",
                                                   "projection_norm")}
-        return amended, V, PAIRING_HORIZON, dataclasses.replace(traces, **columns), None
+        return amended, V, PAIRING_HORIZON, dataclasses.replace(traces, **columns)
     if case == "traces-limit":  # span{e1} is as far from span{e2} as U_n can be
-        return amended, orthonormalize([(1.0, 0.0, 0.0)]), PAIRING_HORIZON, traces, None
-    if case == "traces-sequence":  # the amended values read `converges` under printed's name
-        return printed, V, PAIRING_HORIZON, traces, None
-    if case == "report-sequence":  # a printed volume row read amended's `converges`
-        printed_traces = criterion_traces(printed, V, PAIRING_HORIZON)
-        report = equivalence_suite(amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON, traces=traces)
-        return printed, V, PAIRING_HORIZON, printed_traces, report
-    ideal, grid, horizon = {
-        "report-ideal": (Ideal.density(), PAIRING_GRID, PAIRING_HORIZON),
-        "report-eps": (blocks, (0.5, 0.2, 0.01), PAIRING_HORIZON),
-        "report-grid-length": (blocks, (0.5, 0.1), PAIRING_HORIZON),
-        "report-horizon": (blocks, PAIRING_GRID, 500),
-    }[case]
-    return amended, V, PAIRING_HORIZON, traces, equivalence_suite(amended, V, ideal, grid, horizon)
+        return amended, orthonormalize([(1.0, 0.0, 0.0)]), PAIRING_HORIZON, traces
+    assert case == "traces-sequence"  # the amended values read `converges` under printed's name
+    return printed, V, PAIRING_HORIZON, traces
 
 
 @pytest.mark.parametrize("checker, case", [
-    *((checker, f"traces-{case}") for checker in CHECKERS for case in TRACE_CASES),
-    *((self_projection_volume_check, f"report-{case}") for case in REPORT_CASES),
+    (checker, f"traces-{case}") for checker in CHECKERS for case in TRACE_CASES
 ], ids=lambda p: {subspace_i_converges: "gap", equivalence_suite: "suite",
                   self_projection_volume_check: "volume"}.get(p, p))
 def test_checkers_judge_only_their_own_experiment(checker, case):
-    seq, V, horizon, traces, report = mismatched(case)
-    extra = {} if report is None else {"report": report}
-    with pytest.raises(ValueError, match="do not pair|report judged"):
-        checker(seq, V, Ideal.blocks(), PAIRING_GRID, horizon, traces=traces, **extra)
+    seq, V, horizon, traces = mismatched(case)
+    with pytest.raises(ValueError, match="do not pair"):
+        checker(seq, V, Ideal.blocks(), PAIRING_GRID, horizon, traces=traces)
     # the experiment's own values pair, with an equal basis in another array
     # and the grid given as a list
     amended, V, blocks = parity_split_example("amended")
     traces = criterion_traces(amended, V, PAIRING_HORIZON)
-    own = {"traces": traces}
-    if report is not None:
-        own["report"] = equivalence_suite(amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON, **own)
     same = Subspace(V.basis.copy())
-    assert checker(amended, same, blocks, list(PAIRING_GRID), PAIRING_HORIZON, **own) == checker(
-        amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON
-    )
+    assert checker(amended, same, blocks, list(PAIRING_GRID), PAIRING_HORIZON,
+                   traces=traces) == checker(amended, V, blocks, PAIRING_GRID, PAIRING_HORIZON)
 
 
 def test_gap_checker_reuses_trace_gaps():

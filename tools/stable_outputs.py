@@ -13,8 +13,10 @@ The runs use the ``subspace_limits`` on the import path, in this process:
   0.45/n^2, density tau 0.01, horizon 2000, seed 0) with no ``out_dir`` key
   and ``--out-dir`` given; the suite's report holds per-vector evidence for
   all eight basis vectors;
-* ``analyze`` and ``suite`` on two configs whose ``limit_basis`` replaces the
-  candidate limit: parity-split (printed variant) and a small rotating one;
+* ``analyze`` and ``suite`` on three configs whose ``limit_basis`` replaces
+  the candidate limit: parity-split in both variants (the amended one drops
+  its certificate, which bounds the gaps to its own limit) and a small
+  rotating one;
 * ``gap`` on a whitespace-separated and a comma-separated basis file;
 * ``example`` with no name, and ``example NAME --emit-config`` for both
   built-ins.
@@ -61,6 +63,13 @@ CONFIGS = {
     "parity-limit": {
         "sequence": {"builtin": "parity-split", "variant": "printed"},
         "ideal": {"kind": "density"},
+        "horizon": 500,
+        "eps_grid": [0.5, 0.1, 0.01],
+        "limit_basis": [[0.0, 2.0, 0.5]],
+    },
+    "parity-amended-limit": {
+        "sequence": {"builtin": "parity-split", "variant": "amended"},
+        "ideal": {"kind": "blocks"},
         "horizon": 500,
         "eps_grid": [0.5, 0.1, 0.01],
         "limit_basis": [[0.0, 2.0, 0.5]],
