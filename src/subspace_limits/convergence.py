@@ -18,11 +18,12 @@ equivalent to it and are evaluated side by side by
 
 The three checkers, :func:`subspace_i_converges`, :func:`equivalence_suite`
 and :func:`self_projection_volume_check`, are row sets of one judging
-path over the criterion table: the certificate is read once per eps, each
-column is thresholded once into a trail of nested exceptional sets (one
-level per index: how many of the grid's thresholds it meets), and each
-distinct trail is judged once per eps, whichever columns share it. They
-are the module's only verdict entry points; each takes an eps grid of
+path over the criterion table: the certificate is read once per eps. The
+read-only traces keep each column's trails of nested exceptional sets (one
+level per index: how many of the grid's thresholds it meets) at the last
+grid it was judged at, whatever the ideal. Columns with equal levels share
+one trail, which keeps its verdicts under the last ideal and certificates.
+The checkers are the module's only verdict entry points; each takes an eps grid of
 finite positive real numbers in strictly decreasing order, and rejects a
 string, a bool or any other non-real entry rather than converting it.
 
@@ -48,7 +49,6 @@ from .ideals import (
     IdealVerdict,
     IndexSet,
     Status,
-    TailCertificate,
     _integer,
     certificate_describe,
     decide_membership,
@@ -199,36 +199,28 @@ def _certificates(certificate, grid: tuple[float, ...]) -> tuple:
     return tuple(certs)
 
 
-def _limit_from_values(
-    values: np.ndarray,
-    candidate: float,
-    ideal: Ideal,
-    eps_grid: tuple[float, ...],
-    thresholds: tuple[float, ...],
-    certs: tuple[Optional[TailCertificate], ...],
-    decided: dict,
-) -> ScalarLimitReport:
-    """Per-eps verdicts on {n : |values[n-1] - candidate| >= threshold}.
+class _Trail:
+    """The sets {n : |values[n-1] - candidate| >= t} at each threshold, as levels (see
+    ``_levels``), and the verdicts of the last ideal and certificates they were judged under."""
 
-    ``decided`` maps each trail already decided under these ideal and
-    certificates to its verdicts; a column with an equal trail reuses them.
-    """
-    # |values - 0| is the column itself unless an entry is negative or NaN (not >= 0)
-    if candidate != 0 or not values.min() >= 0:
-        values = np.subtract(values, candidate)
-        np.abs(values, out=values)
-    level = _levels(values, thresholds)
-    # the columns of one call share their length, so the levels alone are the trail
-    key = level.tobytes()
-    verdicts = decided.get(key)
-    if verdicts is None:
-        top = len(thresholds)
-        verdicts = decided[key] = tuple(
-            decide_membership(ideal, _level_set(level, top - i), cert)
-            for i, cert in enumerate(certs)
-        )
-    overall = _conjoin([_VERDICT_OF_STATUS[v.status] for v in verdicts])
-    return ScalarLimitReport(float(candidate), tuple(zip(eps_grid, verdicts)), overall)
+    __slots__ = ("level", "judged")
+
+    def __init__(self, values: np.ndarray, candidate: float, thresholds: tuple[float, ...]):
+        # |values - 0| is the column itself unless an entry is negative or NaN (not >= 0)
+        if candidate != 0 or not values.min() >= 0:
+            values = np.subtract(values, candidate)
+            np.abs(values, out=values)
+        self.level, self.judged = _levels(values, thresholds), None
+
+    def verdicts(self, ideal: Ideal, certs: tuple) -> tuple[IdealVerdict, ...]:
+        # a verdict depends only on the set, the ideal and the certificate
+        if not (self.judged and self.judged[0] == ideal and self.judged[1] == certs):
+            top = len(certs)
+            self.judged = (ideal, certs, tuple(
+                decide_membership(ideal, _level_set(self.level, top - i), cert)
+                for i, cert in enumerate(certs)
+            ))
+        return self.judged[2]
 
 
 # --------------------------------------------------------------------------
@@ -247,6 +239,10 @@ class CriterionTraces:
     orthonormal basis of V the Gram determinants factorise, so
     ||u_i, v_1, ..., v_k|| = ||u_i - P_V(u_i)|| and
     ||u_i, P_V(u_i)|| = ||P_V(u_i)|| ||u_i - P_V(u_i)||.
+
+    The columns are read-only, and an array that is not already read-only
+    and its own memory is copied, so the traces keep each column's trails at
+    the last eps grid it was judged at, for every later checker call.
     """
 
     sequence: SubspaceSequence
@@ -255,8 +251,16 @@ class CriterionTraces:
     residual: np.ndarray          # (horizon, k): ||u_i - P_V(u_i)||
     coefficient_mass: np.ndarray  # (horizon, k): sum_j <u_i, v_j>^2
     projection_norm: np.ndarray   # (horizon, k): ||P_V(u_i)||
-    # the gap trail a checker last judged here: (ideal, certificates, level bytes, verdicts)
-    _judged_gap: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # column -> (the eps grid it was last judged at, its trail per basis vector)
+    _judged: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the trails hold only while no column changes: keep only arrays nothing else can write
+        for name in ("gap", "residual", "coefficient_mass", "projection_norm"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable):
+                object.__setattr__(self, name, a := np.array(a))
+                a.flags.writeable = False
 
     @property
     def horizon(self) -> int:
@@ -271,6 +275,17 @@ class CriterionTraces:
     def self_volume(self) -> np.ndarray:
         """(horizon, k): ||u_i, P_V(u_i)||."""
         return self.projection_norm * self.residual
+
+    def _trails(self, column: str, candidate: float, grid: tuple, thresholds: tuple) -> tuple:
+        """Each basis vector's trail of the column, made once per grid; equal levels share one."""
+        slot = self._judged.get(column)
+        if slot is None or slot[0] != grid:
+            known = {t.level.tobytes(): t for _, ts in self._judged.values() for t in ts}
+            trails = (_Trail(v, candidate, thresholds)
+                      for v in getattr(self, column).reshape(self.horizon, -1).T)
+            slot = (grid, tuple(known.setdefault(t.level.tobytes(), t) for t in trails))
+            self._judged[column] = slot
+        return slot[1]
 
 
 def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> CriterionTraces:
@@ -305,6 +320,8 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
             s = np.abs(R[small]).max(axis=-1, keepdims=True)
             r[small] = s[:, 0] * np.linalg.norm(R[small] / np.where(s > 0, s, 1.0), axis=-1)
         del R
+    for column in (gap, residual, coefficient_mass, projection_norm):
+        column.flags.writeable = False
     return CriterionTraces(seq, V, gap, residual, coefficient_mass, projection_norm)
 
 
@@ -349,14 +366,26 @@ _CRITERIA = (
 _SELF_VOLUME = ("self_projection_volume", "self_volume", 0.0, _eps_threshold)
 
 
+def _criterion(traces, row, grid, ideal, certs) -> CriterionReport:
+    """One table row judged on the trail of each basis vector's column, conjoined."""
+    name, column, candidate, threshold = row
+    thresholds = tuple(threshold(eps) for eps in grid)
+    reps = []
+    for trail in traces._trails(column, candidate, grid, thresholds):
+        verdicts = trail.verdicts(ideal, certs)
+        overall = _conjoin([_VERDICT_OF_STATUS[v.status] for v in verdicts])
+        reps.append(ScalarLimitReport(float(candidate), tuple(zip(grid, verdicts)), overall))
+    return CriterionReport(name, candidate, tuple(reps), _conjoin([r.overall for r in reps]),
+                           thresholds)
+
+
 def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     """Table rows judged on the traces, the one path behind every checker.
 
-    Each row is judged on every column of its trace and conjoined. Columns
-    whose exceptional sets agree at every eps share one trail's verdicts: a
-    verdict depends only on the set, the ideal and the certificate, and the
-    last two are fixed for the call. The gap trail last judged on the traces
-    is shared too when the call's ideal and certificates equal its own.
+    Each row is judged on every column of its trace and conjoined. The traces
+    keep each column's trails at the grid it was last judged at, and each trail
+    keeps its last verdicts, so no call thresholds a column again at that grid,
+    nor decides a trail again under an equal ideal and equal certificates.
     """
     grid = _validate_eps_grid(eps_grid)
     horizon = _integer(horizon, "horizon")
@@ -375,22 +404,7 @@ def _judge(rows, seq, V, ideal, eps_grid, horizon, traces) -> ConvergenceReport:
     # residual's; a certificate for the gap's exceptional sets therefore
     # covers the exceptional sets of every criterion at the same eps.
     certs = _certificates(seq.exceptional_certificate, grid)
-    decided: dict[bytes, tuple[IdealVerdict, ...]] = {}
-    if (last := traces._judged_gap) and last[0] == ideal and last[1] == certs:
-        decided[last[2]] = last[3]
-    criteria = []
-    for name, column, candidate, threshold in rows:
-        thresholds = tuple(threshold(eps) for eps in grid)
-        reps = tuple(
-            _limit_from_values(values, candidate, ideal, grid, thresholds, certs, decided)
-            for values in getattr(traces, column).reshape(horizon, -1).T
-        )
-        criteria.append(
-            CriterionReport(name, candidate, reps, _conjoin([r.overall for r in reps]), thresholds)
-        )
-        if column == "gap":  # the first row and one column: its trail is decided's last key
-            key = next(reversed(decided))
-            object.__setattr__(traces, "_judged_gap", (ideal, certs, key, decided[key]))
+    criteria = [_criterion(traces, row, grid, ideal, certs) for row in rows]
     evidence = {
         "sequence": seq.description,
         "gap_max": float(traces.gap.max()),

@@ -694,7 +694,8 @@ def test_suite_runs_are_byte_identical(tmp_path):
 
 
 def test_stable_outputs_script_reproduces_every_file(tmp_path):
-    # every file of 32 CLI runs, plus their printed lines and exit codes, in fresh processes
+    # every file of 32 CLI runs, plus their printed lines and exit codes, and of the
+    # library runs on one traces object per parity variant, in fresh processes
     script = str(Path(__file__).resolve().parents[1] / "tools" / "stable_outputs.py")
     trees = []
     for root in (tmp_path / "a", tmp_path / "b"):
@@ -702,8 +703,9 @@ def test_stable_outputs_script_reproduces_every_file(tmp_path):
         run_fresh(f"import runpy, sys\nsys.argv = {argv!r}\n"
                   f"runpy.run_path({script!r}, run_name='__main__')\n")
         trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
-    # 28 reports, 28 traces, 2 emitted configs, 4 input configs, 2 basis files, runs.txt
-    assert len(trees[0]) == 65
+    # 28 reports, 28 traces, 2 emitted configs, 4 input configs, 2 basis files, runs.txt,
+    # and 18 library reports
+    assert len(trees[0]) == 83
     assert trees[0] == trees[1]
 
 

@@ -372,9 +372,7 @@ def assert_trail_sets_equal_checked_ones(values, grid, candidate=0.0):
             convergence, "decide_membership",
             lambda ideal, P, cert: passed.append(P) or decide(ideal, P, cert),
         )
-        convergence._limit_from_values(
-            values, candidate, Ideal.finite(), grid, grid, (None,) * len(grid), {}
-        )
+        convergence._Trail(values, candidate, grid).verdicts(Ideal.finite(), (None,) * len(grid))
     assert np.array_equal(values.view(np.uint64), before.view(np.uint64))
     assert len(passed) == len(grid)
     for P, eps in zip(passed, grid):
@@ -425,7 +423,8 @@ def test_trail_sets_equal_checked_ones(data):
     assert_trail_sets_equal_checked_ones(values, grid, data.draw(st.sampled_from([0.0, 1.0])))
 
 
-# One column's transient peak in _limit_from_values on parity-split, h = 10^4, under
+# One column's transient peak in _criterion (which thresholds the column into its
+# trail on fresh traces, then decides it) on parity-split, h = 10^4, under
 # blocks at the default grid. Amended: at most ~140 KiB (the gap column, whose
 # certified trail is decided there); a judge that copies each column into a float
 # deviation, its indices, a gather, int64 levels and two key copies peaks at ~237 KiB
@@ -437,7 +436,7 @@ TRANSIENT_PEAK_BOUNDS = {"amended": 176 * 1024, "printed": 235 * 1024}
 
 
 def test_judging_a_column_makes_no_large_transient_copies(monkeypatch):
-    judge, peaks = convergence._limit_from_values, []
+    judge, peaks = convergence._criterion, []
 
     def measured(*args):
         tracemalloc.reset_peak()
@@ -446,7 +445,7 @@ def test_judging_a_column_makes_no_large_transient_copies(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return report
 
-    monkeypatch.setattr(convergence, "_limit_from_values", measured)
+    monkeypatch.setattr(convergence, "_criterion", measured)
     h = 10_000
     for variant, bound in TRANSIENT_PEAK_BOUNDS.items():
         seq, V, ideal = parity_split_example(variant)
@@ -759,7 +758,7 @@ def _volume_check_decisions(monkeypatch, before, after):
 
 def test_volume_check_decides_the_gap_trail_once_per_traces(monkeypatch):
     # two eps; on amended parity-split the self volume's trail is not the gap's
-    # (0 at odd n, where the gap is 1), so a volume check decides 2 or 4 sets
+    # (0 at odd n, where the gap is 1), so a volume check decides 0, 2 or 4 sets
     pad = [0]  # widens the certified finite prefix: another, still valid certificate
     seq, V, blocks = parity_split_example("amended")
     certificate = seq.exceptional_certificate
@@ -767,10 +766,10 @@ def test_volume_check_decides_the_gap_trail_once_per_traces(monkeypatch):
         (certificate(eps), EmptyTail(math.ceil(1.0 / eps) + pad[0]))
     ))
     h, grid = 400, (0.5, 0.1)
-    traces = criterion_traces(seq, V, h)
+    traces = edited = None  # each case starts on fresh traces
 
-    def volume(ideal=blocks, grid=grid, traces=traces):
-        return lambda: self_projection_volume_check(seq, V, ideal, grid, h, traces=traces)
+    def volume(ideal=blocks, grid=grid, on=lambda: traces):
+        return lambda: self_projection_volume_check(seq, V, ideal, grid, h, traces=on())
 
     def suite():
         equivalence_suite(seq, V, blocks, grid, h, traces=traces)
@@ -779,26 +778,87 @@ def test_volume_check_decides_the_gap_trail_once_per_traces(monkeypatch):
         suite()
         pad[0] += 1
 
-    def edit_gap():  # n = 2 leaves the set at 0.1
+    def edit_gap():  # the columns are read-only, so an edit makes other traces
+        nonlocal edited
         suite()
-        traces.gap[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            traces.gap[1] = 0.0
+        # n = 2 leaves the set at 0.1
+        edited = dataclasses.replace(traces, gap=np.where(np.arange(h) == 1, 0.0, traces.gap))
 
-    for before, after in [
-        (suite, volume()),
-        (suite, volume(ideal=Ideal.blocks())),  # an equal ideal in another object
-        (volume(), volume()),
-        (lambda: subspace_i_converges(seq, V, blocks, grid, h, traces), volume()),
+    for decisions, cases in [
+        (0, [(volume(), volume())]),  # neither trail is decided again
+        (2, [
+            (suite, volume()),
+            (suite, volume(ideal=Ideal.blocks())),  # an equal ideal in another object
+            (lambda: subspace_i_converges(seq, V, blocks, grid, h, traces), volume()),
+        ]),
+        (4, [
+            (suite, volume(ideal=Ideal.finite())),
+            (suite, volume(grid=(0.5, 0.2))),
+            (widen, volume()),
+            (suite, volume(on=lambda: criterion_traces(seq, V, h))),
+            (suite, volume(on=lambda: None)),
+            (edit_gap, volume(on=lambda: edited)),
+        ]),
     ]:
-        assert _volume_check_decisions(monkeypatch, before, after) == 2
-    for before, after in [
-        (suite, volume(ideal=Ideal.finite())),
-        (suite, volume(grid=(0.5, 0.2))),
-        (widen, volume()),
-        (suite, volume(traces=criterion_traces(seq, V, h))),
-        (suite, volume(traces=None)),
-        (edit_gap, volume()),
-    ]:
-        assert _volume_check_decisions(monkeypatch, before, after) == 4
+        for before, after in cases:
+            traces = criterion_traces(seq, V, h)
+            assert _volume_check_decisions(monkeypatch, before, after) == decisions
+
+
+def test_trace_columns_are_read_only_and_owned():
+    # the trails a traces object keeps hold only while its columns cannot change
+    seq, V, _ = parity_split_example("amended")
+    traces = criterion_traces(seq, V, 50)
+    for column in (traces.gap, traces.residual, traces.coefficient_mass, traces.projection_norm):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    assert dataclasses.replace(traces, gap=traces.gap).gap is traces.gap  # frozen and owned
+    gap = traces.gap.copy()
+    view = gap[:]
+    view.flags.writeable = False  # read-only, but gap still writes its memory
+    for column in (gap, view, gap.tolist(), traces.gap[:]):
+        copied = dataclasses.replace(traces, gap=column).gap
+        assert not copied.flags.writeable and np.array_equal(copied, traces.gap)
+        gap[0] = 7.0
+        assert copied[0] == traces.gap[0]
+        gap[0] = traces.gap[0]
+
+
+SHARING_GRIDS = ((0.5, 0.1, 0.01), (0.5, 0.3, 0.1, 0.05))
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(st.tuples(
+    st.sampled_from(CHECKERS), st.sampled_from(sorted(BATTERY_IDEALS)),
+    st.sampled_from(SHARING_GRIDS), st.booleans(),
+), min_size=1, max_size=10))
+def test_checker_calls_on_one_traces_object_equal_fresh_ones(calls):
+    # any order of checkers, ideals, grids and certificates: what one traces
+    # object keeps never changes a report and never adds a decision
+    certified = [True]
+    seq, V, _ = parity_split_example("amended")
+    certificate = seq.exceptional_certificate
+    seq = dataclasses.replace(
+        seq, exceptional_certificate=lambda eps: certificate(eps) if certified[0] else None
+    )
+    h, decide, counts = 300, convergence.decide_membership, {}
+    shared = criterion_traces(seq, V, h)
+    with pytest.MonkeyPatch.context() as mp:
+        for checker, kind, grid, certified[0] in calls:
+            reports = {}
+            for side, traces in (("fresh", criterion_traces(seq, V, h)), ("shared", shared)):
+                counts[side] = 0
+
+                def counted(*args, side=side):
+                    counts[side] += 1
+                    return decide(*args)
+
+                mp.setattr(convergence, "decide_membership", counted)
+                reports[side] = checker(seq, V, BATTERY_IDEALS[kind], grid, h, traces=traces)
+            assert reports["shared"] == reports["fresh"]
+            assert counts["shared"] <= counts["fresh"]
 
 
 def test_volume_check_direction_on_battery():

@@ -19,7 +19,13 @@ The runs use the ``subspace_limits`` on the import path, in this process:
   rotating one;
 * ``gap`` on a whitespace-separated and a comma-separated basis file;
 * ``example`` with no name, and ``example NAME --emit-config`` for both
-  built-ins.
+  built-ins;
+* a library run per parity-split variant on one traces object (horizon 10^4):
+  ``equivalence_suite`` and ``self_projection_volume_check`` under the three
+  ideals at ``SWEEP_EPS``, then at the default grid, then at ``SWEEP_EPS``
+  again, each pair written through ``report_to_dict`` as the ``suite``
+  command writes it. Later calls on one traces object reuse what earlier ones
+  kept, so these files must equal what fresh calls write.
 
 OUT_DIR must not exist. Each run writes into its own directory under it, and
 ``runs.txt`` records every run's arguments, exit code and standard output.
@@ -42,9 +48,27 @@ import os
 import sys
 from pathlib import Path
 
-from subspace_limits.cli import BUILTIN_SEQUENCES, EXIT_INCONCLUSIVE, main
+from subspace_limits import (
+    DEFAULT_EPS_GRID,
+    Ideal,
+    criterion_traces,
+    equivalence_suite,
+    parity_split_example,
+    self_projection_volume_check,
+)
+from subspace_limits.cli import (
+    BUILTIN_SEQUENCES,
+    EXIT_INCONCLUSIVE,
+    main,
+    report_to_dict,
+    write_report,
+)
 
 SWEEP_EPS = "0.5,0.3,0.2,0.1,0.05,0.02,0.01,0.005"
+LIBRARY_HORIZON = 10_000
+LIBRARY_SWEEP = tuple(float(eps) for eps in SWEEP_EPS.split(","))
+# in this order on one traces object per variant
+LIBRARY_GRIDS = {"sweep": LIBRARY_SWEEP, "default": DEFAULT_EPS_GRID, "sweep-again": LIBRARY_SWEEP}
 CONFIGS = {
     "rotating": {
         "sequence": {
@@ -117,6 +141,21 @@ def runs() -> list[list[str]]:
     return argvs
 
 
+def write_library_runs() -> None:
+    for variant in ("amended", "printed"):
+        seq, V, _ = parity_split_example(variant)
+        traces = criterion_traces(seq, V, LIBRARY_HORIZON)
+        out = Path(f"library-parity-split-{variant}")
+        out.mkdir()
+        for name, grid in LIBRARY_GRIDS.items():
+            for kind in ("finite", "density", "blocks"):
+                args = (seq, V, getattr(Ideal, kind)(), grid, LIBRARY_HORIZON, traces)
+                suite = equivalence_suite(*args)
+                volume = self_projection_volume_check(*args)
+                doc = report_to_dict(suite, "suite", volume_check=volume)
+                write_report(out / f"{name}-{kind}.json", doc)
+
+
 def write_outputs(out_dir: Path) -> int:
     out_dir.mkdir(parents=True)
     os.chdir(out_dir)
@@ -131,6 +170,7 @@ def write_outputs(out_dir: Path) -> int:
         failed += code > EXIT_INCONCLUSIVE
         log.append(f"$ subspace-limits {' '.join(argv)}\nexit {code}\n{out.getvalue()}")
     Path("runs.txt").write_bytes("\n".join(log).encode())
+    write_library_runs()
     return 1 if failed else 0
 
 
