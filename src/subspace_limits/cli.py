@@ -255,7 +255,8 @@ def _scalar_limit_to_dict(rep: ScalarLimitReport) -> dict:
                 "epsilon": eps,
                 "status": verdict.status.value,
                 "mode": verdict.mode.value,
-                "evidence": verdict.evidence,
+                "evidence": {key: list(value) if isinstance(value, tuple) else value
+                             for key, value in verdict.evidence.items()},  # lists, as built
             }
             for eps, verdict in rep.per_epsilon
         ],
@@ -285,7 +286,7 @@ def report_to_dict(
         "eps_grid": list(report.eps_grid),
         "criteria": [_criterion_to_dict(c) for c in report.criteria],
         "overall": report.overall.value,
-        "evidence": report.evidence,
+        "evidence": dict(report.evidence),
     }
     if len(report.criteria) > 1:
         doc["agreement"] = {

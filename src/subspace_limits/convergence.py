@@ -28,8 +28,8 @@ finite positive real numbers in strictly decreasing order, and rejects a
 string, a bool or any other non-real entry rather than converting it.
 
 All evaluation is deterministic; identical inputs produce identical
-reports. Each index is evaluated once per trace pass, in chunks sized
-by an element budget, whose bases go through batched kernels.
+reports. Each index is evaluated once per trace pass, in element-budget
+chunks whose ``SubspaceSequence.frames`` go through batched kernels.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .ideals import (
     IdealVerdict,
     IndexSet,
     Status,
+    _FrozenEvidence,
     _integer,
     certificate_describe,
     decide_membership,
@@ -59,10 +60,11 @@ from .sequences import SubspaceSequence, parity_split_example  # the latter for 
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
 DEFAULT_HORIZON = 1000
 
-# Elements per chunk of the (k, d) basis stack: 64 indices at k=8, d=40. A
-# chunk costs ~20 numpy calls, so small chunks are bound by call overhead: at
-# k=8, d=40, horizon 2000 the pass took 38, 32, 30 and 29 ms at 16, 32, 64 and
-# 128 indices (2-vCPU x86_64); 64 kept the CLI's peak RSS, 128 raised it 0.4 MiB.
+# Elements per chunk of the (k, d) basis stack: 64 indices at k=8, d=40. Measured
+# on the bases' path, where small chunks are bound by call overhead: at k=8, d=40,
+# horizon 2000 the pass took 38, 32, 30 and 29 ms at 16, 32, 64 and 128 indices
+# (2-vCPU x86_64); 64 kept the CLI's peak RSS, 128 raised it 0.4 MiB. Closed-form
+# frames take chunks of the same indices, as k x k arrays.
 TRACE_CHUNK_ELEMENTS = 64 * 8 * 40
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it lost its squares to underflow
 
@@ -129,13 +131,13 @@ class CriterionReport:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_FrozenEvidence):
     ideal: Ideal
     horizon: int
     eps_grid: tuple[float, ...]
     criteria: tuple[CriterionReport, ...]
     overall: Verdict
-    evidence: dict = field(default_factory=dict)
+    evidence: Mapping = field(default_factory=dict)
 
     def overall_by_criterion(self) -> dict[str, Verdict]:
         return {c.name: c.overall for c in self.criteria}
@@ -298,28 +300,22 @@ def criterion_traces(seq: SubspaceSequence, V: Subspace, horizon: int) -> Criter
             f"candidate limit has k={V.k}, d={V.ambient_dim}; "
             f"sequence has k={seq.k}, d={seq.ambient_dim}"
         )
-    k, d = seq.k, seq.ambient_dim
     gap = np.empty(horizon)
-    residual, coefficient_mass, projection_norm = (np.empty((horizon, k)) for _ in range(3))
-    chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (k * d)))
+    residual, coefficient_mass, projection_norm = (np.empty((horizon, seq.k)) for _ in range(3))
+    chunk = min(horizon, max(1, TRACE_CHUNK_ELEMENTS // (seq.k * seq.ambient_dim)))
     for lo in range(0, horizon, chunk):
         ns = np.arange(lo + 1, min(lo + chunk, horizon) + 1)
-        A = seq.bases(ns)
         rows = slice(lo, lo + len(ns))
-        # each (m, k, d) array is dropped once read and none outlives its chunk,
-        # which at k=8, d=40 cuts the pass's temporaries from ~1.0 to ~0.5 MiB
-        C, P, R = linalg.cross_residual(A, V.basis)
-        del A
+        C, T = seq.frames(ns, V)  # |P_V(u_i)| = |C_i| and |u_i - P_V(u_i)| = |T_i|
         coefficient_mass[rows] = np.einsum("nij,nij->ni", C, C)
-        projection_norm[rows] = np.linalg.norm(P, axis=-1)
-        del P
-        gap[rows] = linalg.residual_gap(R)
+        projection_norm[rows] = np.linalg.norm(C, axis=-1)
+        gap[rows] = linalg.residual_gap(T)
         r = residual[rows]
-        r[:] = np.linalg.norm(R, axis=-1)
+        r[:] = np.linalg.norm(T, axis=-1)
         if (small := r < _SQRT_TINY).any():  # squares underflowed: rescale as residual_gap does
-            s = np.abs(R[small]).max(axis=-1, keepdims=True)
-            r[small] = s[:, 0] * np.linalg.norm(R[small] / np.where(s > 0, s, 1.0), axis=-1)
-        del R
+            s = np.abs(T[small]).max(axis=-1, keepdims=True)
+            r[small] = s[:, 0] * np.linalg.norm(T[small] / np.where(s > 0, s, 1.0), axis=-1)
+        del C, T  # no chunk's (m, k, d) residual lives on into the next chunk
     for column in (gap, residual, coefficient_mass, projection_norm):
         column.flags.writeable = False
     return CriterionTraces(seq, V, gap, residual, coefficient_mass, projection_norm)

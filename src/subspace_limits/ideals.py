@@ -26,7 +26,8 @@ import enum
 import itertools
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import ClassVar, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -222,11 +223,20 @@ class Mode(enum.Enum):
     EMPIRICAL = "empirical"
 
 
+class _FrozenEvidence:
+    def __post_init__(self):  # a read-only copy, lists as tuples: one verdict sits in many reports
+        object.__setattr__(self, "evidence", MappingProxyType(
+            {k: tuple(v) if isinstance(v, list) else v for k, v in self.evidence.items()}))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild via __init__, in field order
+        return type(self), tuple({**vars(self), "evidence": dict(self.evidence)}.values())
+
+
 @dataclass(frozen=True)
-class IdealVerdict:
+class IdealVerdict(_FrozenEvidence):
     status: Status
     mode: Mode
-    evidence: dict = field(default_factory=dict)
+    evidence: Mapping = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------

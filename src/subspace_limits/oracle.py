@@ -140,6 +140,11 @@ def gap_bruteforce(U: Subspace, V: Subspace, plan: SamplingPlan | None = None) -
     return best_val
 
 
+def frame_embedding(C, T) -> tuple[Subspace, Subspace]:
+    """U = span [C | T], V = span [I | 0] in R^2k: cross-Gram C and residual [0 | T]."""
+    return Subspace(np.hstack([C, T])), Subspace(np.eye(len(C), 2 * len(C)))
+
+
 def _permutation_sign(perm: tuple[int, ...]) -> int:
     sign = 1
     for i in range(len(perm)):

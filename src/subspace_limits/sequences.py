@@ -1,10 +1,11 @@
 """Sequences n -> U_n of k-dimensional subspaces, and the built-in ones.
 
 A :class:`SubspaceSequence` is given by a per-index rule or a batch rule,
-and evaluates a chunk of indices into checked bases itself
-(:meth:`SubspaceSequence.bases`), which is all the trace pass asks of it.
-The built-ins live beside it: parity-split, orthogonal-constant and the
-rotating family with its profile compiler, each a batch rule, and the
+and evaluates a chunk of indices itself into the cross-Gram and residual
+factor the trace pass reads (:meth:`SubspaceSequence.frames`): from its
+checked bases, or from a batch rule's closed form. The built-ins live
+beside it: parity-split, orthogonal-constant and the rotating family with
+its profile compiler and closed-form frames, each a batch rule, and the
 ``BUILTIN_SEQUENCES`` table the CLI reads. A new built-in is one builder
 plus one table row. The config value readers the profile compiler uses
 live here too, so the CLI imports them and this module imports neither
@@ -86,6 +87,8 @@ class SubspaceSequence:
     Give ``rule`` or ``batch_rule``, not both. ``batch_rule`` maps ns (m,) to bases
     (m, k, d), checked per trace chunk as ``Subspace`` checks one; ``rule`` derives from it.
     ``k`` and ``ambient_dim`` are read off ``rule(1)``; every index must match them.
+    A batch rule may carry ``closed_frames = (B, frames)``: ``frames`` maps ns to [C | T]
+    (m, k, 2k) against the limit basis B in closed form, and replacing the rule drops it.
     ``exceptional_certificate`` optionally maps eps to a tail certificate
     for the set {n : gap(U_n, V) >= eps} against the sequence's intended
     limit, or to None where it has none; it is what makes exact
@@ -112,14 +115,24 @@ class SubspaceSequence:
         object.__setattr__(self, "ambient_dim", probe.ambient_dim)
 
     def bases(self, ns: np.ndarray) -> np.ndarray:
-        """The bases of the indices ns (m,) as checked floats (m, k, d): one trace chunk.
-
-        A failure is a RuleEvaluationError at the index it concerns: a raising
-        batch rule is asked again index by index, and names the first that
-        fails alone, or the chunk's first if none does.
-        """
+        """The bases of the indices ns (m,) as checked floats (m, k, d): one trace chunk."""
         # a sequence given per index is stacked through self.rule, then checked like any other
         rule = self.batch_rule or (lambda ns: [_checked_basis(self, n) for n in ns.tolist()])
+        return self._checked(rule, ns, self.ambient_dim)
+
+    def frames(self, ns: np.ndarray, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
+        """(C, T) of ns (m,) against V's basis B: cross-Gram C = A B^T, T T^T = R R^T for the
+        residual R = A - C B. A closed form against B itself is (m, k, k); else T = R (m, k, d)."""
+        limit, closed = getattr(self.batch_rule, "closed_frames", (None, None))
+        if limit is None or limit.shape != V.basis.shape or limit.tobytes() != V.basis.tobytes():
+            return linalg.cross_residual(self.bases(ns), V.basis)[::2]  # (C, R)
+        CT = self._checked(closed, ns, 2 * self.k)  # [C | T] has orthonormal rows
+        return CT[..., : self.k], CT[..., self.k :]
+
+    def _checked(self, rule, ns: np.ndarray, width: int) -> np.ndarray:
+        """rule(ns) as floats (m, k, width) with orthonormal rows. A rule that raises is asked
+        again index by index: the RuleEvaluationError names the first index that fails alone,
+        or the chunk's first if none does; any other failure names the index it concerns."""
 
         def stack(ns):
             return np.ascontiguousarray(rule(ns), dtype=float)
@@ -132,7 +145,7 @@ class SubspaceSequence:
             for i in range(len(ns)):  # on failure only: a passing chunk asks each index once
                 _call_rule(stack, ns[i : i + 1], int(ns[i]))
             raise RuleEvaluationError(int(ns[0]), str(exc)) from exc
-        expected = (len(ns), self.k, self.ambient_dim)
+        expected = (len(ns), self.k, width)
         if A.shape != expected:
             raise RuleEvaluationError(
                 int(ns[0]), f"batch rule returned shape {A.shape}, expected {expected}"
@@ -306,8 +319,9 @@ def rotating_family(
     ``ambient_dim``, ``k`` and ``seed`` are integers; a bool or a float is a
     ConfigError.
     Basis vector i of U_n is cos(theta) v_i + sin(theta) w_i where w_i is
-    the i-th companion direction and sin(theta) = profile(n)[i], so the
-    gap to the limit is exactly max_i profile(n)[i]. Profiles:
+    the i-th companion direction and sin(theta) = profile(n)[i]. So against
+    its own limit the frames are C = diag(cos theta) and T = diag(sin theta)
+    in closed form, and the gap is max_i profile(n)[i] bit for bit. Profiles:
 
     * ``{"kind": "constant", "value": g}``
     * ``{"kind": "power_decay", "scale": a, "exponent": p}``  (a / n^p)
@@ -344,6 +358,10 @@ def rotating_family(
         s = sines(ns)[..., None]
         return np.sqrt(1.0 - s * s) * V.basis + s * companions
 
+    def closed_frames(ns: np.ndarray) -> np.ndarray:  # [C | T] = [diag(sqrt(1 - s^2)) | diag(s)]
+        s = sines(ns)[..., None]
+        return np.concatenate([np.sqrt(1.0 - s * s) * np.eye(k), s * np.eye(k)], axis=-1)
+    batch_rule.closed_frames = (V.basis, closed_frames)
     seq = SubspaceSequence(
         batch_rule=batch_rule,
         description=f"rotating family (k={k}, d={ambient_dim}, seed={seed}, "

@@ -17,6 +17,8 @@ from subspace_limits import (
     parity_split_example,
 )
 from subspace_limits import cli, convergence
+from subspace_limits.linalg import residual_gap
+from subspace_limits.oracle import det_bruteforce, frame_embedding, jacobi_eigenvalues
 from subspace_limits.sequences import rotating_family
 
 INDICES = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(np.array)
@@ -72,9 +74,9 @@ def test_orthogonal_constant_batch_rule_matches_its_line(ns):
 
 
 @st.composite
-def rotating_cases(draw):
-    k = draw(st.integers(1, 3))
-    d = draw(st.integers(2 * k, 2 * k + 3))
+def rotating_cases(draw, max_k=3, max_d=99):
+    k = draw(st.integers(1, max_k))
+    d = draw(st.integers(2 * k, min(2 * k + 3, max_d)))
     sine = st.floats(0.0, 1.0)
     per_vector = st.one_of(sine, st.lists(sine, min_size=k, max_size=k))
     exponent = st.floats(0.1, 3.0)
@@ -123,6 +125,95 @@ def test_rotating_batch_rule_matches_per_index_formula(case, ns):
         return c[:, None] * V.basis + s[:, None] * companions
 
     assert_batch_matches(seq, ns, reference)
+
+
+# ---------------------------------------------------------------------------
+# the rotating family's closed-form frames
+
+
+def oracle_columns(C, T):
+    """gap, residual, coefficient mass, projection norm and squared joint volume of one index,
+    from the explicit pair in R^2k with data (C, T), by the oracle's own kernels."""
+    U, V = frame_embedding(C, T)
+    A, B = U.basis, V.basis
+    P = np.array([sum((u @ v) * v for v in B) for u in A])
+    R = A - P
+    joint = [det_bruteforce(np.vstack([u, B]) @ np.vstack([u, B]).T) for u in A]
+    gap = math.sqrt(max(0.0, jacobi_eigenvalues(R @ R.T)[-1]))
+    mass = [sum((u @ v) ** 2 for v in B) for u in A]
+    return gap, np.linalg.norm(R, axis=1), mass, np.linalg.norm(P, axis=1), joint
+
+
+def with_closed_frames(family, frames):
+    """A plain batch rule of the family's bases that declares ``frames`` as its closed form."""
+
+    def batch_rule(ns):
+        return family.batch_rule(ns)
+
+    batch_rule.closed_frames = frames
+    return SubspaceSequence(batch_rule=batch_rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=rotating_cases(max_k=4, max_d=10), ns=INDICES, data=st.data())
+def test_closed_form_frames_match_the_bases_and_an_explicit_embedding(case, ns, data):
+    # profiles, seeds, k <= 4, d <= 10, horizons and chunk grids
+    d, k, profile, seed = case
+    h = data.draw(st.integers(1, 30), label="horizon")
+    budget = data.draw(st.integers(1, h * k * d), label="chunk budget")
+    seq, V = rotating_family(d, k, profile, seed)
+    derived = with_closed_frames(seq, (None, None))  # no closed form: the k x d path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "TRACE_CHUNK_ELEMENTS", budget)
+        closed, coords = criterion_traces(seq, V, h), criterion_traces(derived, V, h)
+    sines = np.array([rotating_sines(profile, k, n) for n in range(1, h + 1)])
+    assert_same_bits(closed.gap, sines.max(axis=1))
+    for name in ("gap", "residual", "coefficient_mass", "projection_norm"):
+        np.testing.assert_allclose(getattr(closed, name), getattr(coords, name), rtol=0, atol=1e-13)
+    for n, s in enumerate(sines, start=1):
+        gap, residual, mass, projection, joint = oracle_columns(
+            np.diag(np.sqrt(1.0 - s * s)), np.diag(s)
+        )
+        assert abs(closed.gap[n - 1] - gap) <= 1e-15
+        np.testing.assert_allclose(closed.residual[n - 1], residual, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(closed.coefficient_mass[n - 1], mass, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(closed.projection_norm[n - 1], projection, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(closed.joint_volume[n - 1] ** 2, joint, rtol=0, atol=1e-14)
+    # far indices: the chunk's frames against the bases' cross-Gram and residual Gram
+    (C, T), (C2, R) = seq.frames(ns, V), derived.frames(ns, V)
+    assert C.shape == T.shape == (len(ns), k, k) and R.shape == (len(ns), k, d)
+    np.testing.assert_allclose(C, C2, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(T @ T.swapaxes(1, 2), R @ R.swapaxes(1, 2), rtol=0, atol=1e-14)
+    far = np.array([rotating_sines(profile, k, n) for n in ns.tolist()])
+    assert_same_bits(residual_gap(T), far.max(axis=1))
+    # one index whose [C | T] rows are not orthonormal is named, in any chunk
+    bad = data.draw(st.integers(1, h), label="tampered index")
+    limit, frames = seq.batch_rule.closed_frames
+
+    def tampered(ns):
+        CT = frames(ns)
+        CT[ns == bad, 0] *= 1.001  # C C^T + T T^T gains 0.002 in its first diagonal entry
+        return CT
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "TRACE_CHUNK_ELEMENTS", budget)
+        with pytest.raises(RuleEvaluationError, match="not orthonormal") as excinfo:
+            criterion_traces(with_closed_frames(seq, (limit, tampered)), V, h)
+    assert excinfo.value.index == bad
+
+
+def test_closed_form_needs_the_limit_basis_bit_for_bit():
+    profile = {"kind": "constant", "value": 0.5}
+    seq, V = rotating_family(4, 1, profile, limit_basis=np.array([[1.0, 0.0, 0.0, 0.0]]))
+    ns = np.arange(1, 4)
+    C, T = seq.frames(ns, V)
+    assert T.shape == (3, 1, 1) and C.tolist() == [[[math.sqrt(0.75)]]] * 3
+    # equal values with a -0, and the same line under another basis: the bases' path
+    for other in (Subspace(np.array([[1.0, -0.0, 0.0, 0.0]])), Subspace(-V.basis)):
+        C2, T2 = seq.frames(ns, other)
+        assert T2.shape == (3, 1, 4)
+        np.testing.assert_allclose(C2, C * other.basis[0, 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(T2, axis=-1), T[..., 0], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from subspace_limits.cli import (
 )
 from subspace_limits.convergence import CriterionTraces, criterion_traces
 from subspace_limits.linalg import RankDeficiencyError, orthonormalize
-from subspace_limits.sequences import parity_split_example, rotating_family
+from subspace_limits.sequences import SubspaceSequence, parity_split_example, rotating_family
 
 
 def write(path, text):
@@ -695,7 +695,8 @@ def test_suite_runs_are_byte_identical(tmp_path):
 
 def test_stable_outputs_script_reproduces_every_file(tmp_path):
     # every file of 32 CLI runs, plus their printed lines and exit codes, and of the
-    # library runs on one traces object per parity variant, in fresh processes
+    # library runs on one traces object per parity variant and on the rotating
+    # family against a foreign limit, in fresh processes
     script = str(Path(__file__).resolve().parents[1] / "tools" / "stable_outputs.py")
     trees = []
     for root in (tmp_path / "a", tmp_path / "b"):
@@ -704,8 +705,8 @@ def test_stable_outputs_script_reproduces_every_file(tmp_path):
                   f"runpy.run_path({script!r}, run_name='__main__')\n")
         trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
     # 28 reports, 28 traces, 2 emitted configs, 4 input configs, 2 basis files, runs.txt,
-    # and 18 library reports
-    assert len(trees[0]) == 83
+    # 21 library reports and one library trace
+    assert len(trees[0]) == 87
     assert trees[0] == trees[1]
 
 
@@ -903,9 +904,12 @@ def test_trace_csv_gap_field_has_its_own_bits(tmp_path, gap, residual, row):
     assert row in text
 
 
-def _rotating_traces(k, seed):
+def _rotating_traces(k, seed, derived=False):
     profile = {"kind": "power_decay", "scale": 0.45, "exponent": 2.0}
     seq, V = rotating_family(40, k, profile, seed)
+    if derived:  # the family's bases in a plain batch rule, which declares no closed form
+        family = seq.batch_rule
+        seq = SubspaceSequence(batch_rule=lambda ns: family(ns))
     return criterion_traces(seq, V, 2000)
 
 
@@ -915,11 +919,15 @@ def _rotating_traces(k, seed):
         # parity-split's gap and residual columns agree bit for bit at every index
         (lambda: criterion_traces(*parity_split_example("amended")[:2], 3001), "all"),
         (lambda: criterion_traces(*parity_split_example("printed")[:2], 3001), "all"),
-        # a rotating line agrees at about half its indices: the per-field path
-        (lambda: _rotating_traces(1, 0), "some"),
+        # a rotating line from its d=40 bases agrees at about half its indices:
+        # the per-field path
+        (lambda: _rotating_traces(1, 0, derived=True), "some"),
+        # in closed form its gap and residual are both the profile's sine
+        (lambda: _rotating_traces(1, 0), "all"),
         (lambda: _rotating_traces(8, 0), None),
     ],
-    ids=["parity-amended", "parity-printed", "rotating-k1-d40", "rotating-k8-d40"],
+    ids=["parity-amended", "parity-printed", "rotating-k1-d40", "rotating-k1-closed-form",
+         "rotating-k8-d40"],
 )
 def test_trace_csv_matches_the_per_row_template(tmp_path, make, share):
     traces = make()

@@ -1,9 +1,12 @@
 """Tests for the convergence engine and the built-in sequences."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -824,6 +827,50 @@ def test_trace_columns_are_read_only_and_owned():
         gap[0] = 7.0
         assert copied[0] == traces.gap[0]
         gap[0] = traces.gap[0]
+
+
+def _evidences(report):
+    """Every evidence mapping a suite or volume-check report holds."""
+    if isinstance(report, convergence.VolumeCheckReport):
+        criteria = (report.volume,)
+    else:
+        criteria = report.criteria
+        yield report.evidence
+    for crit in criteria:
+        for rep in crit.per_vector:
+            yield from (verdict.evidence for _, verdict in rep.per_epsilon)
+
+
+@pytest.mark.parametrize("kind", ["finite", "density", "blocks"])
+def test_report_evidence_is_read_only(kind):
+    # the gap, residual and joint-volume verdicts are one shared object, and
+    # reused traces hand the same ones to a later call: no write may reach them
+    seq, V, _ = parity_split_example("amended")
+    ideal, traces = getattr(Ideal, kind)(), criterion_traces(seq, V, 1000)
+    fresh = equivalence_suite(seq, V, ideal, horizon=1000)
+    reports = [
+        checker(seq, V, ideal, horizon=1000, traces=traces)
+        for checker in (equivalence_suite, self_projection_volume_check, equivalence_suite)
+    ]
+    evidences = [e for report in [fresh, *reports] for e in _evidences(report)]
+    assert evidences
+    for evidence in evidences:
+        with pytest.raises(TypeError):
+            evidence["member_count"] = -1
+        with pytest.raises(TypeError):
+            del evidence["horizon"]
+        for value in evidence.values():
+            assert isinstance(value, (str, int, float, tuple))
+    assert reports[2] == reports[0] == fresh
+    for report in reports[:2]:  # a copy is a report again, its evidence frozen anew
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin == report
+            assert all(isinstance(e, MappingProxyType) for e in _evidences(twin))
+    doc = report_to_dict(fresh, "suite")  # plain dicts again, their lists included
+    per_eps = [e for c in doc["criteria"] for r in c["per_vector"] for e in r["per_epsilon"]]
+    for evidence in [doc["evidence"], *(e["evidence"] for e in per_eps)]:
+        assert type(evidence) is dict
+        assert not any(isinstance(value, tuple) for value in evidence.values())
 
 
 SHARING_GRIDS = ((0.5, 0.1, 0.01), (0.5, 0.3, 0.1, 0.05))

@@ -341,7 +341,7 @@ def density_evidence(P):
 def test_partial_density_odds():
     # |odds up to j| / j is ceil(j / 2) / j at each dyadic checkpoint
     trail = density_evidence(odds(100))["checkpoints"]
-    assert trail == [(j, -(-j // 2) / j) for j in (6, 12, 25, 50, 100)]
+    assert trail == tuple((j, -(-j // 2) / j) for j in (6, 12, 25, 50, 100))
 
 
 def test_partial_density_block_two():
@@ -349,7 +349,7 @@ def test_partial_density_block_two():
     block = dyadic_block(2, 16)
     assert list(block.members) == [2, 6, 10, 14]
     trail = density_evidence(block)["checkpoints"]
-    assert trail == [(1, 0.0), (2, 0.5), (4, 0.25), (8, 0.25), (16, 0.25)]
+    assert trail == ((1, 0.0), (2, 0.5), (4, 0.25), (8, 0.25), (16, 0.25))
 
 
 def test_density_estimate_odds():
@@ -359,7 +359,7 @@ def test_density_estimate_odds():
 def test_density_estimate_empty():
     evidence = density_evidence(IndexSet(1000, []))
     assert evidence["final_density"] == 0.0
-    assert evidence["checkpoints"] == [(62, 0.0), (125, 0.0), (250, 0.0), (500, 0.0), (1000, 0.0)]
+    assert evidence["checkpoints"] == ((62, 0.0), (125, 0.0), (250, 0.0), (500, 0.0), (1000, 0.0))
 
 
 def test_density_estimate_squares_decreasing():
@@ -369,7 +369,7 @@ def test_density_estimate_squares_decreasing():
     # the trail is the partial density at each dyadic checkpoint
     trail = evidence["checkpoints"]
     assert [j for j, _ in trail] == [625, 1250, 2500, 5000, 10_000]
-    assert trail == [(j, math.isqrt(j) / j) for j, _ in trail]  # isqrt(j) squares up to j
+    assert trail == tuple((j, math.isqrt(j) / j) for j, _ in trail)  # isqrt(j) squares up to j
     densities = [d for _, d in trail]
     assert all(a >= b for a, b in zip(densities, densities[1:]))
 

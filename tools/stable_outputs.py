@@ -25,7 +25,12 @@ The runs use the ``subspace_limits`` on the import path, in this process:
   ideals at ``SWEEP_EPS``, then at the default grid, then at ``SWEEP_EPS``
   again, each pair written through ``report_to_dict`` as the ``suite``
   command writes it. Later calls on one traces object reuse what earlier ones
-  kept, so these files must equal what fresh calls write.
+  kept, so these files must equal what fresh calls write;
+* a library run of a rotating sequence (d=6, k=2, seed 3, 0.5/n) against a
+  foreign limit, the sequence at its constant sine 0.1, which it meets at
+  n = 5: the trace pass takes the bases' path, as the closed-form frames hold
+  only against the family's own limit. Its ``trace.csv`` and, per ideal, the
+  ``suite`` report with the volume check at the default grid.
 
 OUT_DIR must not exist. Each run writes into its own directory under it, and
 ``runs.txt`` records every run's arguments, exit code and standard output.
@@ -62,7 +67,9 @@ from subspace_limits.cli import (
     main,
     report_to_dict,
     write_report,
+    write_trace_csv,
 )
+from subspace_limits.sequences import rotating_family
 
 SWEEP_EPS = "0.5,0.3,0.2,0.1,0.05,0.02,0.01,0.005"
 LIBRARY_HORIZON = 10_000
@@ -114,6 +121,7 @@ CONFIGS = {
         "limit_basis": [[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0, 0.0]],
     },
 }
+FOREIGN_HORIZON = 2000
 BASIS_FILES = {"basis-u.txt": "1 0 0\n0 1 0.5\n", "basis-v.csv": "1,0.1,0\n0,1,0\n"}
 
 
@@ -154,6 +162,18 @@ def write_library_runs() -> None:
                 volume = self_projection_volume_check(*args)
                 doc = report_to_dict(suite, "suite", volume_check=volume)
                 write_report(out / f"{name}-{kind}.json", doc)
+    profile = {"kind": "power_decay", "scale": 0.5, "exponent": 1.0}
+    seq, _ = rotating_family(6, 2, profile, seed=3)
+    V = rotating_family(6, 2, {"kind": "constant", "value": 0.1}, seed=3)[0].rule(1)
+    traces = criterion_traces(seq, V, FOREIGN_HORIZON)
+    out = Path("library-rotating-foreign-limit")
+    out.mkdir()
+    write_trace_csv(out / "trace.csv", traces)
+    for kind in ("finite", "density", "blocks"):
+        args = (seq, V, getattr(Ideal, kind)(), DEFAULT_EPS_GRID, FOREIGN_HORIZON, traces)
+        doc = report_to_dict(equivalence_suite(*args), "suite",
+                             volume_check=self_projection_volume_check(*args))
+        write_report(out / f"{kind}.json", doc)
 
 
 def write_outputs(out_dir: Path) -> int:
